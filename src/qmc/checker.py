@@ -72,7 +72,9 @@ class ConfigurationGraph:
     def label_set(self, prop, bindings: dict, member_tol: float = None,
                   eig_tol: float = None) -> frozenset:
         """Indices of the nodes whose state's support lies in the denoted
-        subspace; cached per proposition (and tolerance override)."""
+        subspace; cached per proposition (and tolerance override).  Each
+        support is read from the node's spectral factor
+        (`Configuration.support`), so labeling decomposes no state."""
         member_tol = la.TOL_MEMBER if member_tol is None else member_tol
         eig_tol = la.TOL_EIG if eig_tol is None else eig_tol
         key = (lg.print_prop(prop), member_tol, eig_tol)
@@ -81,7 +83,7 @@ class ConfigurationGraph:
                                   ambient_dim=2 ** self.system.n_qubits)
             members = frozenset(
                 n.index for n in self.nodes
-                if la.contains(target, la.support(n.config.state, eig_tol),
+                if la.contains(target, n.config.support(eig_tol),
                                member_tol))
             self._labels[key] = members
         return self._labels[key]
@@ -380,29 +382,29 @@ def _shortest_path(graph, start, allowed, targets):
 
 def _lasso(graph, start, region):
     """Path from start that closes a cycle inside `region` (start must be
-    in the region); the repeated node appears twice."""
-    on_path = []
-    on_path_set = set()
-    seen = set()
-
-    def dfs(u):
-        on_path.append(u)
-        on_path_set.add(u)
-        seen.add(u)
-        for v, _ in graph.nodes[u].out:
+    in the region); the repeated node appears twice.  Depth-first in edge
+    order, kept on an explicit stack so long cycles cannot overflow the
+    interpreter's."""
+    path = [start]
+    on_path = {start}
+    seen = {start}
+    pending = [iter(graph.nodes[start].out)]
+    while pending:
+        for v, _ in pending[-1]:
             if v not in region:
                 continue
-            if v in on_path_set:
-                return on_path[on_path.index(v):] + [v]
+            if v in on_path:
+                return path[path.index(v):] + [v]
             if v not in seen:
-                found = dfs(v)
-                if found is not None:
-                    return found
-        on_path.pop()
-        on_path_set.remove(u)
-        return None
-
-    return dfs(start)
+                seen.add(v)
+                on_path.add(v)
+                path.append(v)
+                pending.append(iter(graph.nodes[v].out))
+                break
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
+    return None
 
 
 def _steps_for(graph, path) -> tuple:

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``qmc check --model M.qts --assert A.ctql --init "|0>"`` checks every
   assertion and exits with the worst verdict (0 holds, 1 fails, 2 unknown,
-  3 error).
+  3 error; an internal crash is reported in one line and also exits 3).
 * ``qmc reach --model M.qts --init "|0>" [--verify]`` prints the reachable
   subspace of a single-location model; --verify cross-runs the three
   reachability algorithms and reports their largest mutual residual.
@@ -329,6 +329,11 @@ def main(argv=None) -> int:
         return handler(cfg)
     except QmcError as exc:
         print(f"qmc: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a crash must never read as a verdict
+        message = " ".join(str(exc).split())
+        print(f"qmc: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -127,11 +127,19 @@ def support(rho: np.ndarray, rtol: float = TOL_EIG) -> Subspace:
     if not is_hermitian(rho):
         raise InvalidDensityMatrix("matrix is not Hermitian")
     w, v = np.linalg.eigh(rho)
-    top = w[-1]
+    return spectral_support(v, w, rtol)
+
+
+def spectral_support(vecs: np.ndarray, vals: np.ndarray,
+                     rtol: float = TOL_EIG) -> Subspace:
+    """Support of the Hermitian PSD matrix vecs diag(vals) vecs^dagger
+    (orthonormal columns, any order): the columns whose value exceeds
+    `rtol` times the largest.  A matrix with no positive value has zero
+    support."""
+    top = vals.max(initial=0.0)
     if top <= 0.0:
-        return Subspace.zero(rho.shape[0])
-    keep = w > rtol * top
-    return Subspace(v[:, keep])
+        return Subspace.zero(vecs.shape[0])
+    return Subspace(vecs[:, vals > rtol * top])
 
 
 def join(subspaces) -> Subspace:

@@ -5,6 +5,12 @@ labelled edges; for every location with outgoing edges the operators sum to
 a trace-preserving map, so stepping a configuration distributes all of its
 probability mass over the successors.
 
+A configuration carries its state's spectral factor (U, lambda), state =
+U diag(lambda) U^dagger.  Stepping maps the factor through the Kraus
+operators and one thin SVD, so only a configuration built by hand (such as
+the root of a graph) ever needs an eigendecomposition, and the checker
+reads every node's support straight from the factor.
+
 This module also owns the textual model format (see docs/model_format.md
 for the grammar).  Each transition keeps the surface form it was written
 in, so serialize -> parse round trips reproduce the system exactly.
@@ -19,16 +25,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as ch
-from .errors import (DimensionMismatch, MalformedCircuit,
-                     NormalisationViolation, ParseError, UnknownGate,
-                     UnknownLocation)
-from .linalg import TOL_HERM, is_hermitian
+from .errors import (DimensionMismatch, InvalidDensityMatrix,
+                     MalformedCircuit, NormalisationViolation, ParseError,
+                     UnknownGate, UnknownLocation)
+from .linalg import TOL_EIG, TOL_HERM, Subspace, spectral_support
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_complex, tokenize)
 
 NORM_TOL = 1e-9  # Definition-level normalisation defect allowed per location
+# Eigenvalues at or below this fraction of the largest are float noise and
+# leave the spectral factor; keeping them would multiply its rank by the
+# Kraus count on every noisy step.
+_SPECTRUM_FLOOR = 1e-24
 
-_PUNCTS = ["->", ":", ",", ";", "[", "]", "{", "}", "(", ")", "="]
+_PUNCTS = ["->", ":", ",", ";", "[", "]", "{", "}", "(", ")", "=", "+", "-"]
 _KEYWORDS = {"qubits", "locations", "initial", "transitions",
              "gate", "kraus", "measure"}
 
@@ -160,18 +170,28 @@ class QuantumTransitionSystem:
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """A location paired with a normalised state; `probability` is the mass
-    of the branch that led here."""
+    of the branch that led here.
+
+    `_spectrum` is the state's spectral factor (U, lambda) with lambda
+    descending, as `step` hands it over; when absent it is computed by one
+    `eigh` the first time `spectrum` is read."""
 
     location: str
     state: np.ndarray
     probability: float = 1.0
+    _spectrum: tuple = field(default=None, repr=False)
+    _herm_defect: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         state = np.array(self.state, dtype=complex)
         if state.ndim != 2 or state.shape[0] != state.shape[1]:
             raise DimensionMismatch(f"state shape {state.shape}")
-        if not is_hermitian(state, 1e3 * TOL_HERM):
+        # kept so that `support` repeats linalg.support's stricter check
+        # without another pass over the matrix
+        defect = float(np.abs(state - state.conj().T).max(initial=0.0))
+        if defect > 1e3 * TOL_HERM:
             raise DimensionMismatch("configuration state is not Hermitian")
+        object.__setattr__(self, "_herm_defect", defect)
         tr = float(np.trace(state).real)
         if abs(tr - 1.0) > 1e-9:
             raise DimensionMismatch(f"configuration state trace {tr}")
@@ -181,21 +201,55 @@ class Configuration:
         state.setflags(write=False)
         object.__setattr__(self, "state", state)
 
+    @property
+    def spectrum(self) -> tuple:
+        """(U, lambda) with state = U diag(lambda) U^dagger, lambda
+        descending; U may have fewer than d columns.  Two threads reading
+        it at once may both decompose, with the same result."""
+        if self._spectrum is None:
+            w, v = np.linalg.eigh(self.state)
+            object.__setattr__(self, "_spectrum", (v[:, ::-1], w[::-1]))
+        return self._spectrum
+
+    def support(self, rtol: float = TOL_EIG) -> Subspace:
+        """The state's support as `linalg.support` defines it, read from
+        the spectral factor."""
+        if self._herm_defect > TOL_HERM:
+            raise InvalidDensityMatrix("matrix is not Hermitian")
+        return spectral_support(*self.spectrum, rtol)
+
 
 def step(sys: QuantumTransitionSystem, config: Configuration):
     """One transition step: every outgoing branch with probability above
     TOL_PROB, as (successor configuration, branch probability) pairs.  The
     branch probabilities sum to 1 and the successor configurations carry
-    `config.probability` times their branch probability."""
+    `config.probability` times their branch probability.
+
+    With L = U sqrt(lambda) the configuration's factor, a branch's
+    unnormalised state is S S^dagger for the stack S = [E_1 L, ..., E_K L];
+    its probability is |S|_F^2 and one thin SVD of S gives the successor's
+    spectrum, from which its dense state is rebuilt.  Eigenvalues at or
+    below _SPECTRUM_FLOOR times the largest, negative ones included, are
+    dropped as float noise."""
+    transitions = sys.outgoing(config.location)
+    vecs, vals = config.spectrum
+    keep = vals > _SPECTRUM_FLOOR * vals[0]
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
     results = []
-    for t in sys.outgoing(config.location):
-        post = ch.apply(t.op, config.state)
-        p = float(np.trace(post).real)
+    for t in transitions:
+        stack = np.hstack([k @ factor for k in t.op.kraus])
+        p = float(np.vdot(stack, stack).real)
         if p > ch.TOL_PROB:
-            # symmetrize: dividing by a small branch probability would
-            # otherwise amplify float asymmetry past the state validator
-            post = (post + post.conj().T) / (2.0 * p)
-            succ = Configuration(t.post, post, config.probability * p)
+            u, s, _ = np.linalg.svd(stack, full_matrices=False)
+            lam = s * s / p
+            keep = lam > _SPECTRUM_FLOOR * lam[0]
+            u, lam = u[:, keep], lam[keep]
+            # the product is Hermitian only up to rounding; fingerprints
+            # and the state validator see the symmetrized matrix
+            post = (u * lam) @ u.conj().T
+            post = (post + post.conj().T) / 2.0
+            succ = Configuration(t.post, post, config.probability * p,
+                                 _spectrum=(u, lam))
             results.append((succ, p))
     return results
 

@@ -178,6 +178,20 @@ def random_circuit(rng, n_qubits, depth):
     })
 
 
+def dense_step(system, config):
+    """`qts.step` computed on the dense state: (sum_i E_i rho E_i^dagger)/p
+    per outgoing transition, with p its trace."""
+    results = []
+    for t in system.outgoing(config.location):
+        post = ch.apply(t.op, config.state)
+        p = float(np.trace(post).real)
+        if p > ch.TOL_PROB:
+            post = (post + post.conj().T) / (2.0 * p)
+            results.append((qts.Configuration(t.post, post,
+                                              config.probability * p), p))
+    return results
+
+
 def random_closing_state(rng, n_qubits):
     """Initial states likely to produce small, closing orbits."""
     d = 2 ** n_qubits

@@ -1,3 +1,6 @@
+import pathlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,12 @@ from qmc import logic as lg
 from qmc import qts
 from qmc.errors import NoTraceAvailable, UnboundAtom
 
-from helpers import (random_closing_qts, random_closing_state,
-                     random_state_formula, random_unit_vector)
+from helpers import (dense_step, random_closing_qts, random_closing_state,
+                     random_density, random_state_formula, random_subspace,
+                     random_unit_vector)
 from oracle import PathOracle
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -232,6 +238,87 @@ class TestAgainstPathOracle:
                 lg.satisfies_atomic(state, prop, bindings)
 
 
+def _dense_support(config, rtol=la.TOL_EIG):
+    return la.support(config.state, rtol)
+
+
+class TestFactoredGraphs:
+    """Stepping and labeling through the spectral factor must give the
+    graph, verdicts and traces of stepping and labeling on dense states."""
+
+    @staticmethod
+    def run(system, rho0, formulas, bindings):
+        graph = checker.build_graph(system, rho0, bound=64)
+        verdicts = [checker.check(system, rho0, f, bindings, graph=graph)
+                    for f in formulas]
+        return graph, verdicts
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.qts")),
+                             ids=lambda p: p.stem)
+    def test_fixture_graphs_match_dense_path(self, path, monkeypatch):
+        system = qts.parse_model(path.read_text())
+        d = 2 ** system.n_qubits
+        rng = np.random.default_rng(sum(path.stem.encode()))
+        ctql = path.with_suffix(".ctql")
+        if ctql.exists():
+            doc = lg.parse_assertions(ctql.read_text())
+            formulas = [a.formula for a in doc.assertions]
+            bindings = doc.bindings
+        else:
+            bindings = {"a": random_subspace(rng, d, 1),
+                        "b": random_subspace(rng, d, max(1, d // 2))}
+            formulas = [random_state_formula(rng, ["a", "b"], depth)
+                        for depth in (1, 2, 2, 3, 3)]
+        for rho0 in [random_density(rng, d, r) for r in (1, d)] + \
+                [random_closing_state(rng, system.n_qubits)]:
+            graph, verdicts = self.run(system, rho0, formulas, bindings)
+            with monkeypatch.context() as m:
+                m.setattr(qts, "step", dense_step)
+                m.setattr(qts.Configuration, "support", _dense_support)
+                dense, dense_verdicts = self.run(system, rho0, formulas,
+                                                 bindings)
+            assert graph.closure == dense.closure
+            assert [(n.config.location, n.digest, [t for t, _ in n.out])
+                    for n in graph.nodes] == \
+                [(n.config.location, n.digest, [t for t, _ in n.out])
+                 for n in dense.nodes]
+            probs = [p for n in graph.nodes for _, p in n.out]
+            dense_probs = [p for n in dense.nodes for _, p in n.out]
+            assert np.abs(np.subtract(probs, dense_probs)).max() <= 1e-12
+            for v, w in zip(verdicts, dense_verdicts):
+                assert v.result == w.result
+                assert [(s.location, s.state_digest) for s in v.trace or ()] \
+                    == [(s.location, s.state_digest) for s in w.trace or ()]
+
+    def test_labeling_decomposes_only_the_root(self, monkeypatch):
+        # GHZ-noisy, n = 6: H[1]; CX[i, i+1]; bit_flip(0.9) on qubit 1
+        n = 6
+        ir = qts.Gate((1,), name="H")
+        for i in range(1, n):
+            ir = qts.Seq(ir, qts.Gate((i, i + 1), name="CX"))
+        ir = qts.Seq(ir, qts.Gate((1,), op=ch.noise_library("bit_flip", 0.9)))
+        system = qts.compile_circuit(ir, n)
+        d = 2 ** n
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[0, 0] = 1.0
+        bindings = {"g": la.Subspace(np.eye(d)[:, [0, d - 1]])}
+        props = [lg.parse_formula(text).prop
+                 for text in ("[g]", "[~g]", "true")]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        graph = checker.build_graph(system, rho0)
+        for prop in props:
+            graph.label_set(prop, bindings)
+        assert len(graph.nodes) == n + 2
+        assert calls == [(d, d)]
+
+
 class TestDedupSoundness:
     def test_dedup_never_changes_decided_verdicts(self, rng):
         for _ in range(8):
@@ -302,6 +389,15 @@ class TestTraces:
         assert v.result == "fails"
         assert v.trace is not None
         assert v.trace[0].location == v.trace[-1].location
+
+    def test_lasso_on_a_cycle_longer_than_the_recursion_limit(self):
+        n = 5000
+        nodes = [checker.GraphNode(i, None, "", 0, True, (((i + 1) % n, 1.0),))
+                 for i in range(n)]
+        graph = SimpleNamespace(nodes=nodes)
+        assert checker._lasso(graph, 0, set(range(n))) == \
+            list(range(n)) + [0]
+        assert checker._lasso(graph, 0, set(range(n - 1))) is None
 
 
 SINK_MODEL = """

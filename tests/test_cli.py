@@ -233,6 +233,20 @@ class TestInitStates:
         assert code == cli.EXIT_ERROR
 
 
+def test_internal_crash_exits_with_error_code(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli.checker, "build_graph", crash)
+    code, out, err = run_cli(
+        capsys, "check",
+        "--model", str(FIXTURES / "teleport.qts"),
+        "--assert", str(FIXTURES / "teleport.ctql"), "--init", "|000>")
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == "qmc: internal error: RuntimeError: boom second line\n"
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "qmc.cli", "reach",

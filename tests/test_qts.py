@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from qmc import channel as ch
+from qmc import linalg as la
 from qmc import qts
-from qmc.errors import (DimensionMismatch, MalformedCircuit,
-                        NormalisationViolation, ParseError, UnknownLocation)
+from qmc.errors import (DimensionMismatch, InvalidDensityMatrix,
+                        MalformedCircuit, NormalisationViolation, ParseError,
+                        UnknownLocation)
 
-from helpers import random_circuit, random_unit_vector, trace_distance
+from helpers import (dense_step, random_channel, random_circuit,
+                     random_density, random_unit_vector, trace_distance)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -150,6 +153,69 @@ class TestStep:
             qts.step(system, qts.Configuration("nowhere", pure(KET0)))
 
 
+class TestFactoredStep:
+    """`step` maps each configuration's spectral factor; it must agree with
+    the dense channel application and carry the dense state's support."""
+
+    def random_system(self, rng, n_qubits):
+        # gates, flip noises and measurement branches, plus a random
+        # three-Kraus loop on the terminal locations
+        system = qts.compile_circuit(random_circuit(rng, n_qubits, 4),
+                                     n_qubits)
+        loop = random_channel(rng, n_qubits, n_kraus=3)
+        qubits = tuple(range(1, n_qubits + 1))
+        transitions = [t if t.pre != t.post else
+                       qts.kraus_edge(t.pre, t.post, loop.kraus, qubits,
+                                      n_qubits)
+                       for t in system.transitions]
+        return qts.QuantumTransitionSystem(n_qubits, system.locations,
+                                           system.initial,
+                                           tuple(transitions))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_successors_match_dense_application(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        d = 2 ** n
+        system = self.random_system(rng, n)
+        for rank in range(1, d + 1):
+            frontier = [qts.Configuration(system.initial,
+                                          random_density(rng, d, rank))]
+            for _ in range(4):
+                nxt = []
+                for config in frontier:
+                    got = qts.step(system, config)
+                    want = dense_step(system, config)
+                    assert [(s.location, len(s.state)) for s, _ in got] == \
+                        [(s.location, len(s.state)) for s, _ in want]
+                    for (a, pa), (b, pb) in zip(got, want):
+                        assert abs(pa - pb) <= 1e-12
+                        assert abs(a.probability - b.probability) <= 1e-12
+                        assert np.abs(a.state - b.state).max() <= 1e-12
+                        for tol in (1e-12, 1e-8, 1e-4):
+                            assert a.support(tol).same_space(
+                                la.support(b.state, tol))
+                    nxt.extend(s for s, _ in got)
+                frontier = nxt
+
+    def test_hand_built_configuration_decomposes_once(self, rng):
+        rho = random_density(rng, 4, 2)
+        config = qts.Configuration("l0", rho)
+        vecs, vals = config.spectrum
+        assert config.spectrum[0] is vecs
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.abs((vecs * vals) @ vecs.conj().T - rho).max() < 1e-12
+        assert config.support().dim == 2
+
+    def test_support_keeps_hermiticity_check(self):
+        # within the configuration's tolerance, outside the support's
+        rho = pure(KET0).astype(complex)
+        rho[0, 1] = 1e-7
+        config = qts.Configuration("l0", rho)
+        with pytest.raises(InvalidDensityMatrix):
+            config.support()
+
+
 class TestTeleportation:
     @pytest.mark.parametrize("seed", range(5))
     def test_output_on_qubit_three(self, seed):
@@ -232,6 +298,29 @@ class TestModelFormat:
         expected = ch.gate_matrix("RZ", 0.5)
         assert np.abs(system.transitions[0].op.kraus[0] - expected).max() \
             < 1e-12
+
+    def round_trip(self, system):
+        text = qts.serialize_model(system)
+        assert "-" in text.replace("->", "")
+        again = qts.parse_model(text)
+        assert system.same_system(again)
+        assert qts.serialize_model(again) == text
+
+    def test_negative_angle_round_trips(self):
+        self.round_trip(qts.QuantumTransitionSystem(1, ("a",), "a", (
+            qts.gate_edge("a", "a", "RY", (1,), 1, (-0.3,)),)))
+
+    def test_negative_real_entry_round_trips(self):
+        noise = ch.noise_library("phase_flip", 0.7)
+        self.round_trip(qts.QuantumTransitionSystem(2, ("a",), "a", (
+            qts.kraus_edge("a", "a", noise.kraus, (2,), 2),)))
+
+    def test_complex_entry_with_negative_imaginary_part_round_trips(self):
+        sqrt_x = np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]]) / 2
+        system = qts.QuantumTransitionSystem(1, ("a",), "a", (
+            qts.kraus_edge("a", "a", [sqrt_x], (1,), 1),))
+        assert "0.5-0.5i" in qts.serialize_model(system)
+        self.round_trip(system)
 
     def test_compiled_system_serializes(self, rng):
         system = qts.compile_circuit(random_circuit(rng, 2, 3), 2)
