@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                      RepeatedQubit, TargetOutOfRange, UnknownGate)
-from .linalg import TOL_HERM, TOL_NORM, is_hermitian
+from .linalg import TOL_HERM, TOL_NORM, _frozen, is_hermitian
 
 TOL_PROB = 1e-12  # branches below this probability are dropped
 
@@ -42,12 +42,6 @@ TOL_PROB = 1e-12  # branches below this probability are dropped
 class TraceClass(Enum):
     PRESERVING = "preserving"
     REDUCING = "reducing"
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,25 +379,11 @@ def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
         if not 1 <= q <= n_qubits:
             raise TargetOutOfRange(f"qubit {q} outside 1..{n_qubits}")
     # axes: row bits little-endian, then column bits little-endian;
-    # tracing a qubit identifies its row axis with its column axis
+    # tracing a qubit gives its column axis the label of its row axis
     t = rho.reshape((2,) * (2 * n_qubits), order="F")
-    label = {}
-    counter = 0
-    for q in range(n_qubits):
-        label[q] = counter
-        counter += 1
-    for q in range(n_qubits):
-        if q + 1 in keep:
-            label[n_qubits + q] = counter
-            counter += 1
-        else:
-            label[n_qubits + q] = label[q]
-    lhs = "".join(_SYM[label[ax]] for ax in range(2 * n_qubits))
-    out = "".join(_SYM[label[q - 1]] for q in keep) + \
-          "".join(_SYM[label[n_qubits + q - 1]] for q in keep)
-    reduced = np.einsum(lhs + "->" + out, t)
+    rows = list(range(n_qubits))
+    cols = [n_qubits + q if q + 1 in keep else q for q in range(n_qubits)]
+    out = [q - 1 for q in keep] + [n_qubits + q - 1 for q in keep]
+    reduced = np.einsum(t, rows + cols, out)
     k = len(keep)
     return reduced.reshape((2 ** k, 2 ** k), order="F")
-
-
-_SYM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

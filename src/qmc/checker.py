@@ -17,9 +17,7 @@ probabilities are carried for reporting; verdicts ignore them.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,12 +70,18 @@ class ConfigurationGraph:
     def label_set(self, prop, bindings: dict, member_tol: float = None,
                   eig_tol: float = None) -> frozenset:
         """Indices of the nodes whose state's support lies in the denoted
-        subspace; cached per proposition (and tolerance override).  Each
-        support is read from the node's spectral factor
-        (`Configuration.support`), so labeling decomposes no state."""
+        subspace; cached per proposition, the subspaces bound to its atoms
+        and the tolerances.  Each support is read from the node's spectral
+        factor (`Configuration.support`), so labeling decomposes no state."""
         member_tol = la.TOL_MEMBER if member_tol is None else member_tol
         eig_tol = la.TOL_EIG if eig_tol is None else eig_tol
-        key = (lg.print_prop(prop), member_tol, eig_tol)
+        # Subspaces hash by identity, so rebinding an atom misses the cache.
+        subspaces = []
+        for atom in lg._atoms(prop):
+            if atom.name not in bindings:
+                raise UnboundAtom(f"atom {atom.name!r} is not bound")
+            subspaces.append(bindings[atom.name])
+        key = (lg.print_prop(prop), tuple(subspaces), member_tol, eig_tol)
         if key not in self._labels:
             target = lg.eval_prop(prop, bindings,
                                   ambient_dim=2 ** self.system.n_qubits)
@@ -89,47 +93,27 @@ class ConfigurationGraph:
         return self._labels[key]
 
 
-def _thread_count(threads) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("QMC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def build_graph(sys: q.QuantumTransitionSystem, rho0: np.ndarray,
-                bound: int = DEFAULT_BOUND, dedup: bool = True,
-                threads=None) -> ConfigurationGraph:
+                bound: int = DEFAULT_BOUND,
+                dedup: bool = True) -> ConfigurationGraph:
     """Breadth-first configuration graph from (initial location, rho0).
 
-    Frontier nodes are expanded layer by layer (optionally in a thread
-    pool; results are merged in frontier order, so the graph never depends
-    on the thread count).  Nodes still unexpanded after `bound` layers
-    leave the graph truncated.  `dedup=False` skips fingerprint merging and
-    grows a tree, which only terminates within the bound; it exists to
-    validate that merging never changes verdicts."""
+    Frontier nodes are expanded layer by layer, in frontier order.  Nodes
+    still unexpanded after `bound` layers leave the graph truncated.
+    `dedup=False` skips fingerprint merging and grows a tree, which only
+    terminates within the bound; it exists to validate that merging never
+    changes verdicts."""
     root = q.Configuration(sys.initial, np.asarray(rho0, dtype=complex))
     nodes = [GraphNode(0, root, fingerprint(root.state), 0)]
     buckets = {(root.location, nodes[0].digest): [0]}
     frontier = [0]
-    workers = _thread_count(threads)
-
-    def expand(index: int):
-        return q.step(sys, nodes[index].config)
-
     for _ in range(bound):
         if not frontier:
             break
-        if workers > 1 and len(frontier) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                expansions = list(pool.map(expand, frontier))
-        else:
-            expansions = [expand(i) for i in frontier]
         next_frontier = []
-        for index, successors in zip(frontier, expansions):
+        for index in frontier:
             edges = []
-            for succ, p in successors:
+            for succ, p in q.step(sys, nodes[index].config):
                 key = (succ.location, fingerprint(succ.state))
                 dst = None
                 if dedup:
@@ -298,16 +282,15 @@ class Verdict:
 
 def check(sys: q.QuantumTransitionSystem, rho0: np.ndarray, formula,
           bindings: dict, bound: int = DEFAULT_BOUND, label: str = "",
-          threads=None, graph: ConfigurationGraph = None,
+          graph: ConfigurationGraph = None,
           member_tol: float = None, eig_tol: float = None) -> Verdict:
     """Decide whether the system with initial state rho0 satisfies the
     formula, exploring at most `bound` steps.  On truncated graphs the
     result is `unknown` unless the explored prefix already decides it."""
     t0 = time.perf_counter()
     if graph is None:
-        graph = build_graph(sys, rho0, bound, threads=threads)
+        graph = build_graph(sys, rho0, bound)
     t1 = time.perf_counter()
-    _check_bound_atoms(formula, bindings)
     labeling = _Labeling(graph, bindings, member_tol, eig_tol)
     sets = labeling.eval(formula)
     if 0 in sets.lo:
@@ -327,31 +310,6 @@ def check(sys: q.QuantumTransitionSystem, rho0: np.ndarray, formula,
                    closure=graph.closure, nodes=len(graph.nodes),
                    edges=graph.edge_count,
                    timings={"build_s": t1 - t0, "label_s": t2 - t1})
-
-
-def _check_bound_atoms(formula, bindings):
-    def prop_atoms(p):
-        yield from lg._atoms(p)
-
-    def walk(f):
-        if isinstance(f, lg.Prop):
-            for atom in prop_atoms(f.prop):
-                if atom.name not in bindings:
-                    raise UnboundAtom(f"atom {atom.name!r} is not bound")
-        elif isinstance(f, lg.Not):
-            walk(f.sub)
-        elif isinstance(f, lg.And):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (lg.Exists, lg.Forall)):
-            p = f.path
-            if isinstance(p, lg.Next):
-                walk(p.sub)
-            else:
-                walk(p.left)
-                walk(p.right)
-
-    walk(formula)
 
 
 def _shortest_path(graph, start, allowed, targets):

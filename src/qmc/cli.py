@@ -48,8 +48,6 @@ class RunConfig:
     bound: int = checker.DEFAULT_BOUND
     depth: int = 5
     output_format: str = "text"
-    seed: int = None
-    threads: int = None
     timings: bool = False
     verify: bool = False
     tol_member: float = None
@@ -132,12 +130,12 @@ def cmd_check(cfg: RunConfig) -> int:
         doc = logic.parse_assertions(fh.read())
     reports = []
     worst = EXIT_HOLDS
-    graph = checker.build_graph(system, rho0, cfg.bound, threads=cfg.threads)
+    graph = checker.build_graph(system, rho0, cfg.bound)
     for assertion in doc.assertions:
         verdict = checker.check(system, rho0, assertion.formula,
                                 doc.bindings, bound=cfg.bound,
-                                label=assertion.label, threads=cfg.threads,
-                                graph=graph, member_tol=cfg.tol_member,
+                                label=assertion.label, graph=graph,
+                                member_tol=cfg.tol_member,
                                 eig_tol=cfg.tol_eig)
         worst = max(worst, _EXIT_OF[verdict.result])
         reports.append({
@@ -152,8 +150,7 @@ def cmd_check(cfg: RunConfig) -> int:
             "timings": verdict.timings if cfg.timings else None,
         })
     if cfg.output_format == "json":
-        print(_json_dump({"model": cfg.model, "seed": cfg.seed,
-                          "reports": reports}), end="")
+        print(_json_dump({"model": cfg.model, "reports": reports}), end="")
     else:
         for r in reports:
             closure = r["closure"] if isinstance(r["closure"], str) \
@@ -287,14 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="initial state: ket string or density-matrix file")
         p.add_argument("--format", dest="output_format",
                        choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=None)
 
     p_check = sub.add_parser("check", help="check temporal assertions")
     common(p_check)
     p_check.add_argument("--assert", dest="assertion", required=True,
                          help="assertion file (.ctql)")
     p_check.add_argument("--bound", type=int, default=checker.DEFAULT_BOUND)
-    p_check.add_argument("--threads", type=int, default=None)
     p_check.add_argument("--timings", action="store_true")
     p_check.add_argument("--tol-member", type=float, default=None)
     p_check.add_argument("--tol-eig", type=float, default=None)

@@ -28,11 +28,10 @@ from . import channel as ch
 from .errors import (DimensionMismatch, InvalidDensityMatrix,
                      MalformedCircuit, NormalisationViolation, ParseError,
                      UnknownGate, UnknownLocation)
-from .linalg import TOL_EIG, TOL_HERM, Subspace, spectral_support
+from .linalg import TOL_EIG, TOL_HERM, TOL_NORM, Subspace, spectral_support
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_complex, tokenize)
 
-NORM_TOL = 1e-9  # Definition-level normalisation defect allowed per location
 # Eigenvalues at or below this fraction of the largest are float noise and
 # leave the spectral factor; keeping them would multiply its rank by the
 # Kraus count on every noisy step.
@@ -133,7 +132,7 @@ class QuantumTransitionSystem:
                 for k in t.op.kraus:
                     total += k.conj().T @ k
             defect = float(np.abs(total - np.eye(d)).max())
-            if defect > NORM_TOL:
+            if defect > TOL_NORM:
                 raise NormalisationViolation(
                     f"outgoing operators at location {l!r} sum to a map with "
                     f"normalisation defect {defect:.3e}", location=l,
@@ -204,8 +203,7 @@ class Configuration:
     @property
     def spectrum(self) -> tuple:
         """(U, lambda) with state = U diag(lambda) U^dagger, lambda
-        descending; U may have fewer than d columns.  Two threads reading
-        it at once may both decompose, with the same result."""
+        descending; U may have fewer than d columns."""
         if self._spectrum is None:
             w, v = np.linalg.eigh(self.state)
             object.__setattr__(self, "_spectrum", (v[:, ::-1], w[::-1]))

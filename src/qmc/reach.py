@@ -5,10 +5,8 @@ under iterated channel application:
 
 * the closed form: support of the sum of the first d channel powers,
 * the vectorized route: accumulate powers of the channel's matrix
-  representation applied to vec(rho) and read the answer off a Schmidt
-  decomposition (contracted as a tensor network for 3+ qubits, dense
-  matrix-vector products below - see docs/reach_benchmarks.md for the
-  measured crossover),
+  representation applied to vec(rho), one dense matrix-vector product per
+  step, and read the answer off a Schmidt decomposition,
 * a fixed-point iteration joining images until the dimension stabilises.
 
 They must agree as subspaces; the test suite cross-checks all three.
@@ -22,11 +20,7 @@ import numpy as np
 
 from . import channel as ch
 from . import linalg as la
-from . import tensor as tn
 from .errors import DimensionMismatch
-
-# dense matrix powers beat per-step network contraction below this size
-TENSOR_MIN_QUBITS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,38 +84,19 @@ def reachable_subspace(c: QuantumMarkovChain, rho: np.ndarray,
     return la.support(acc, rtol)
 
 
-def _vec_names(n: int, tag: str):
-    return tuple(f"{tag}{i}" for i in range(2 * n))
-
-
-def _step_by_network(m_tensor_data, phi: np.ndarray, n: int) -> np.ndarray:
-    """One application of the channel matrix via a two-node network."""
-    ins = _vec_names(n, "a")
-    outs = _vec_names(n, "b")
-    m_t = tn.tensor_from_matrix(m_tensor_data, outs, ins)
-    phi_t = tn.tensor_from_vector(phi, ins)
-    net = tn.TensorNetwork((m_t, phi_t), outs)
-    return tn.contract_network(net).to_vector(outs)
-
-
 def reachable_subspace_vectorized(c: QuantumMarkovChain, rho: np.ndarray,
                                   rtol: float = la.TOL_EIG) -> la.Subspace:
     """Vectorized route: Phi = sum_{i<d} M^i vec(rho) lives on a doubled
     space; the left Schmidt vectors with non-negligible coefficient span the
     reachable subspace."""
     rho = _check_state(c, rho)
-    n = c.channel.n_qubits
     d = c.dim
     m = ch.matrix_rep(c.channel)
     # vec(rho) = (rho (x) I)|Psi> under the package vectorization convention
     phi_step = rho.reshape(-1).astype(complex)
     acc = phi_step.copy()
-    use_network = n >= TENSOR_MIN_QUBITS
     for _ in range(d - 1):
-        if use_network:
-            phi_step = _step_by_network(m, phi_step, n)
-        else:
-            phi_step = m @ phi_step
+        phi_step = m @ phi_step
         acc = acc + phi_step
         scale = np.linalg.norm(acc)
         acc = acc / scale

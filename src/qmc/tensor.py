@@ -22,8 +22,6 @@ from .errors import (DimensionMismatch, IndexCollision, MalformedNetwork,
 
 MAX_RANK = 26  # dense storage: 2^26 complex entries = 1 GiB ceiling
 
-_SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 @dataclass(frozen=True, eq=False)
 class Tensor:
@@ -119,14 +117,13 @@ def contract_pair(a: Tensor, b: Tensor) -> Tensor:
     if len(out) > MAX_RANK:
         raise RankLimitExceeded(
             f"contraction result has rank {len(out)} > MAX_RANK={MAX_RANK}")
-    sym = {}
+    label = {}
     for n in a.indices + b.indices:
-        if n not in sym:
-            sym[n] = _SYMBOLS[len(sym)]
-    eq = "".join(sym[n] for n in a.indices) + "," + \
-         "".join(sym[n] for n in b.indices) + "->" + \
-         "".join(sym[n] for n in out)
-    return Tensor(out, np.einsum(eq, a.data, b.data))
+        label.setdefault(n, len(label))
+    data = np.einsum(a.data, [label[n] for n in a.indices],
+                     b.data, [label[n] for n in b.indices],
+                     [label[n] for n in out])
+    return Tensor(out, data)
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,15 +78,6 @@ class TestBuildGraph:
         assert g.closure == ("truncated", 3)
         assert any(not n.complete for n in g.nodes)
 
-    def test_thread_count_does_not_change_graph(self):
-        system = qts.teleportation_qts()
-        rho0 = qts.teleportation_input(PLUS)
-        graphs = [checker.build_graph(system, rho0, bound=10, threads=t)
-                  for t in (1, 2, 4)]
-        digests = [[(n.config.location, n.digest, n.out) for n in g.nodes]
-                   for g in graphs]
-        assert digests[0] == digests[1] == digests[2]
-
     def test_dedup_merges_fingerprint_twins(self):
         # two states closer than the fingerprint tolerance share a node
         system = id_loop_system()
@@ -131,6 +122,26 @@ class TestCheckBasics:
         with pytest.raises(UnboundAtom):
             checker.check(id_loop_system(), pure(KET0),
                           lg.parse_formula("[ghost]"), {})
+
+    def test_unbound_atom_under_temporal_operators_raises(self):
+        graph = checker.build_graph(id_loop_system(), pure(KET0))
+        for text in ("E ([zero] U [ghost])", "A X ! [ghost]",
+                     "E G ([zero] && [ghost | one])"):
+            with pytest.raises(UnboundAtom):
+                checker.check(id_loop_system(), pure(KET0),
+                              lg.parse_formula(text), BINDINGS_1Q,
+                              graph=graph)
+
+    def test_reused_graph_follows_rebound_atoms(self):
+        # the label cache must not answer for a different subspace bound
+        # to the same name
+        system = id_loop_system()
+        graph = checker.build_graph(system, pure(KET0))
+        formula = lg.parse_formula("[p]")
+        verdicts = [checker.check(system, pure(KET0), formula, {"p": sub},
+                                  graph=graph).result
+                    for sub in (span(KET0), span(KET1), span(KET0))]
+        assert verdicts == ["holds", "fails", "holds"]
 
     def test_exit_style_fields(self):
         v = checker.check(id_loop_system(), pure(KET0),
@@ -447,14 +458,6 @@ class TestSinkLocations:
                                     BINDINGS_1Q, graph=graph)
             expected = "holds" if oracle.holds(0, formula) else "fails"
             assert verdict.result == expected, lg.print_formula(formula)
-
-
-def test_thread_env_variable(monkeypatch):
-    monkeypatch.setenv("QMC_THREADS", "3")
-    assert checker._thread_count(None) == 3
-    assert checker._thread_count(1) == 1
-    monkeypatch.delenv("QMC_THREADS")
-    assert checker._thread_count(None) >= 1
 
 
 def test_fingerprint_folds_negative_zero():

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -54,7 +55,7 @@ class TestCheck:
     def test_byte_identical_reports(self, capsys):
         args = ("check", "--model", str(FIXTURES / "teleport.qts"),
                 "--assert", str(FIXTURES / "teleport.ctql"),
-                "--init", TELEPORT_INIT, "--format", "json", "--seed", "7")
+                "--init", TELEPORT_INIT, "--format", "json")
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
@@ -68,6 +69,24 @@ class TestCheck:
             "--assert", str(bad), "--init", "|0>")
         assert code == cli.EXIT_FAILS
         assert "fails" in out
+
+    def test_long_cycle_counterexample(self, capsys, tmp_path):
+        # RY(4pi/2400) returns |0><0| after 1200 steps: a complete
+        # 1200-node cycle that never reaches false, refuted by a lasso
+        model = tmp_path / "ry_loop.qts"
+        model.write_text("qubits 1\nlocations l0\ninitial l0\n"
+                         "transitions\n"
+                         f"  l0 -> l0 : gate RY({4 * math.pi / 2400!r})[1]\n")
+        spec = tmp_path / "never.ctql"
+        spec.write_text('assert "never" : A (true U false)\n')
+        code, out, err = run_cli(
+            capsys, "check", "--model", str(model), "--assert", str(spec),
+            "--init", "|0>", "--bound", "1300", "--format", "json")
+        assert code == cli.EXIT_FAILS, err
+        report = json.loads(out)["reports"][0]
+        assert report["verdict"] == "fails"
+        assert report["closure"] == "complete"
+        assert report["nodes"] == 1200
 
     def test_unbound_atom_is_an_error(self, capsys, tmp_path):
         bad = tmp_path / "unbound.ctql"

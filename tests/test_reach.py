@@ -124,7 +124,7 @@ class TestReachableSubspace:
 
 
 class TestThreeWayAgreement:
-    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
     def test_routes_agree(self, n_qubits, rng):
         d = 2 ** n_qubits
         for trial in range(12):
