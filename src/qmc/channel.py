@@ -20,8 +20,12 @@ Register layout is little-endian throughout (qubit 1 = bit weight 1).
 Multi-qubit gate constants from `gate_matrix` follow the textbook layout
 where the FIRST wire is the most significant bit (so CNOT with control on
 wire 1 is block-diag(I, X)); `embed` works in register terms, and the
-circuit builders in `qts` reverse the wire list when lifting a textbook
-constant onto register qubits.
+circuit builders in `qts` reverse the wire list when placing a textbook
+constant on register qubits.
+
+`embed` is not on the checking path.  A `qts` transition keeps its channel
+on its target qubits and `qts.step` contracts only those axes; the dense
+2^n x 2^n lift is built on demand, for `reach` and the tests.
 """
 
 from __future__ import annotations
@@ -154,20 +158,29 @@ def compose_parallel(e: SuperOperator, f: SuperOperator) -> SuperOperator:
     return SuperOperator(e.n_qubits + f.n_qubits, kraus, tc)
 
 
+def check_targets(targets, shape, total: int) -> tuple:
+    """The register qubits `targets` of an operator of the given matrix
+    shape, validated against a `total`-qubit register: one target per wire,
+    none repeated, all in 1..total."""
+    targets = tuple(targets)
+    k = len(targets)
+    if tuple(shape) != (2 ** k, 2 ** k):
+        raise DimensionMismatch(
+            f"operator shape {tuple(shape)} does not fit {k} target qubits")
+    if len(set(targets)) != k:
+        raise RepeatedQubit(f"repeated target in {list(targets)}")
+    for t in targets:
+        if not 1 <= t <= total:
+            raise TargetOutOfRange(f"qubit {t} outside 1..{total}")
+    return targets
+
+
 def expand_operator(op: np.ndarray, targets, total: int) -> np.ndarray:
     """Lift a k-qubit operator (little-endian over its own wires) to `total`
     register qubits, wire j acting on qubit targets[j]."""
     op = np.asarray(op, dtype=complex)
-    targets = list(targets)
+    targets = list(check_targets(targets, op.shape, total))
     k = len(targets)
-    if op.shape != (2 ** k, 2 ** k):
-        raise DimensionMismatch(
-            f"operator shape {op.shape} does not fit {k} target qubits")
-    if len(set(targets)) != k:
-        raise RepeatedQubit(f"repeated target in {targets}")
-    for t in targets:
-        if not 1 <= t <= total:
-            raise TargetOutOfRange(f"qubit {t} outside 1..{total}")
     rest = [q for q in range(1, total + 1) if q not in targets]
     dest = targets + rest  # wire j+1 of the padded operator -> qubit dest[j]
     full = np.kron(np.eye(2 ** (total - k)), op)
@@ -182,11 +195,7 @@ def expand_operator(op: np.ndarray, targets, total: int) -> np.ndarray:
 
 def embed(e: SuperOperator, targets, total: int) -> SuperOperator:
     """Channel acting as `e` on the listed register qubits and as the
-    identity elsewhere."""
-    targets = list(targets)
-    if len(targets) != e.n_qubits:
-        raise DimensionMismatch(
-            f"{e.n_qubits}-qubit channel given {len(targets)} targets")
+    identity elsewhere, as dense 2^total x 2^total Kraus operators."""
     kraus = tuple(expand_operator(k, targets, total) for k in e.kraus)
     return SuperOperator(total, kraus, e.trace_class)
 

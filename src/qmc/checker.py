@@ -286,10 +286,15 @@ def check(sys: q.QuantumTransitionSystem, rho0: np.ndarray, formula,
           member_tol: float = None, eig_tol: float = None) -> Verdict:
     """Decide whether the system with initial state rho0 satisfies the
     formula, exploring at most `bound` steps.  On truncated graphs the
-    result is `unknown` unless the explored prefix already decides it."""
+    result is `unknown` unless the explored prefix already decides it.
+
+    `timings` holds `label_s`, and `build_s` when the graph was built here
+    rather than passed in."""
     t0 = time.perf_counter()
+    timings = {}
     if graph is None:
         graph = build_graph(sys, rho0, bound)
+        timings["build_s"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     labeling = _Labeling(graph, bindings, member_tol, eig_tol)
     sets = labeling.eval(formula)
@@ -299,7 +304,7 @@ def check(sys: q.QuantumTransitionSystem, rho0: np.ndarray, formula,
         result = "fails"
     else:
         result = "unknown"
-    t2 = time.perf_counter()
+    timings["label_s"] = time.perf_counter() - t1
     trace = None
     try:
         trace = extract_trace(graph, formula, bindings, result,
@@ -308,8 +313,7 @@ def check(sys: q.QuantumTransitionSystem, rho0: np.ndarray, formula,
         pass
     return Verdict(label=label, result=result, trace=trace,
                    closure=graph.closure, nodes=len(graph.nodes),
-                   edges=graph.edge_count,
-                   timings={"build_s": t1 - t0, "label_s": t2 - t1})
+                   edges=graph.edge_count, timings=timings)
 
 
 def _shortest_path(graph, start, allowed, targets):

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +131,9 @@ def cmd_check(cfg: RunConfig) -> int:
         doc = logic.parse_assertions(fh.read())
     reports = []
     worst = EXIT_HOLDS
+    t0 = time.perf_counter()
     graph = checker.build_graph(system, rho0, cfg.bound)
+    build_s = time.perf_counter() - t0
     for assertion in doc.assertions:
         verdict = checker.check(system, rho0, assertion.formula,
                                 doc.bindings, bound=cfg.bound,
@@ -150,7 +153,11 @@ def cmd_check(cfg: RunConfig) -> int:
             "timings": verdict.timings if cfg.timings else None,
         })
     if cfg.output_format == "json":
-        print(_json_dump({"model": cfg.model, "reports": reports}), end="")
+        result = {"model": cfg.model}
+        if cfg.timings:
+            result["timings"] = {"build_s": build_s}
+        result["reports"] = reports
+        print(_json_dump(result), end="")
     else:
         for r in reports:
             closure = r["closure"] if isinstance(r["closure"], str) \

@@ -27,6 +27,11 @@ TOL_EIG = 1e-8      # relative rank cut for eigen/singular values
 TOL_ORTHO = 1e-9    # orthonormality defect allowed in a stored basis
 TOL_MEMBER = 1e-7   # relative residual for membership tests
 TOL_HERM = 1e-9     # Hermiticity defect allowed in density matrices
+# Hermiticity defect a qts.Configuration accepts.  It is looser than
+# TOL_HERM because a configuration only stores its state: a hand-built
+# state with rounded entries may still start a graph, and
+# Configuration.support applies TOL_HERM before any support is read.
+TOL_HERM_STATE = 1e3 * TOL_HERM
 TOL_NORM = 1e-9     # normalisation defect (unit vectors, Kraus sums)
 TOL_RECON = 1e-10   # Schmidt reconstruction error
 

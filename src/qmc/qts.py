@@ -5,6 +5,12 @@ labelled edges; for every location with outgoing edges the operators sum to
 a trace-preserving map, so stepping a configuration distributes all of its
 probability mass over the successors.
 
+A transition keeps its Kraus operators on its target qubits, as `local`
+and `targets`; normalisation is validated on the qubits a location's edges
+touch, and `step` contracts only the target axes of the state.  The
+full-register channel `Transition.op` is built on first use, by `reach`
+and the tests; nothing on the parse -> build -> check path builds it.
+
 A configuration carries its state's spectral factor (U, lambda), state =
 U diag(lambda) U^dagger.  Stepping maps the factor through the Kraus
 operators and one thin SVD, so only a configuration built by hand (such as
@@ -28,7 +34,8 @@ from . import channel as ch
 from .errors import (DimensionMismatch, InvalidDensityMatrix,
                      MalformedCircuit, NormalisationViolation, ParseError,
                      UnknownGate, UnknownLocation)
-from .linalg import TOL_EIG, TOL_HERM, TOL_NORM, Subspace, spectral_support
+from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM, Subspace,
+                     spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_complex, tokenize)
 
@@ -64,43 +71,58 @@ class MeasureSpec:
     outcome: int
 
 
-def _op_from_spec(spec, n_qubits: int) -> ch.SuperOperator:
-    if isinstance(spec, GateSpec):
-        return ch.gate_on_qubits(spec.name, spec.targets, n_qubits,
-                                 *spec.params)
-    if isinstance(spec, KrausSpec):
-        mats = [np.array(m, dtype=complex) for m in spec.matrices]
-        base = ch.SuperOperator.from_kraus(mats)
-        return ch.embed(base, spec.targets, n_qubits)
-    if isinstance(spec, MeasureSpec):
-        m = ch.computational_measurement(len(spec.targets))
-        return ch.embed(m.branch_channel(spec.outcome), spec.targets, n_qubits)
-    raise TypeError(f"unknown op spec {spec!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Transition:
+    """An edge whose channel `local` acts on its own wires; wire j is
+    register qubit targets[j] (little-endian on both sides).  `op`, the
+    same channel on the whole register, is built on first use."""
+
     pre: str
     post: str
-    op: ch.SuperOperator
-    spec: object = None  # GateSpec | KrausSpec | MeasureSpec | None
+    local: ch.SuperOperator
+    targets: tuple
+    n_qubits: int
+    spec: object  # GateSpec | KrausSpec | MeasureSpec
+    _op: list = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "targets", ch.check_targets(
+            self.targets, self.local.kraus[0].shape, self.n_qubits))
+
+    @property
+    def op(self) -> ch.SuperOperator:
+        if not self._op:
+            if self.targets == tuple(range(1, self.n_qubits + 1)):
+                self._op.append(self.local)
+            else:
+                self._op.append(ch.embed(self.local, self.targets,
+                                         self.n_qubits))
+        return self._op[0]
 
 
 def gate_edge(pre, post, name, targets, n_qubits, params=()) -> Transition:
+    """A named gate; the first listed target plays the gate's first
+    (textbook most-significant) wire, so the wire list is reversed onto the
+    little-endian register."""
     spec = GateSpec(name, tuple(targets), tuple(params))
-    return Transition(pre, post, _op_from_spec(spec, n_qubits), spec)
+    local = ch.SuperOperator.unitary(ch.gate_matrix(name, *spec.params))
+    return Transition(pre, post, local, spec.targets[::-1], n_qubits, spec)
 
 
 def kraus_edge(pre, post, matrices, targets, n_qubits) -> Transition:
     mats = tuple(tuple(tuple(complex(x) for x in row) for row in np.asarray(m))
                  for m in matrices)
     spec = KrausSpec(mats, tuple(targets))
-    return Transition(pre, post, _op_from_spec(spec, n_qubits), spec)
+    local = ch.SuperOperator.from_kraus(
+        [np.array(m, dtype=complex) for m in mats])
+    return Transition(pre, post, local, spec.targets, n_qubits, spec)
 
 
 def measure_edge(pre, post, targets, outcome, n_qubits, name="M") -> Transition:
     spec = MeasureSpec(name, tuple(targets), int(outcome))
-    return Transition(pre, post, _op_from_spec(spec, n_qubits), spec)
+    m = ch.computational_measurement(len(spec.targets))
+    return Transition(pre, post, m.branch_channel(spec.outcome),
+                      spec.targets, n_qubits, spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,13 +145,19 @@ class QuantumTransitionSystem:
                 bad = t.pre if t.pre not in out else t.post
                 raise UnknownLocation(f"transition endpoint {bad!r} undeclared")
             out[t.pre].append(t)
-        d = 2 ** self.n_qubits
         for l, ts in out.items():
             if not ts:
                 continue
+            # the dense defect is (defect on the qubits the edges touch)
+            # tensor the identity, so its largest entry is found on them
+            span = sorted({q for t in ts for q in t.targets})
+            wire = {q: j for j, q in enumerate(span, 1)}
+            d = 2 ** len(span)
             total = np.zeros((d, d), dtype=complex)
             for t in ts:
-                for k in t.op.kraus:
+                for k in t.local.kraus:
+                    k = ch.expand_operator(k, [wire[q] for q in t.targets],
+                                           len(span))
                     total += k.conj().T @ k
             defect = float(np.abs(total - np.eye(d)).max())
             if defect > TOL_NORM:
@@ -149,7 +177,7 @@ class QuantumTransitionSystem:
     def same_system(self, other: "QuantumTransitionSystem",
                     tol: float = 1e-12) -> bool:
         """Structural equality: locations, initial, and transitions with the
-        same surface specs and numerically equal operators."""
+        same surface specs and numerically equal local operators."""
         if (self.n_qubits, self.locations, self.initial) != \
                 (other.n_qubits, other.locations, other.initial):
             return False
@@ -158,9 +186,9 @@ class QuantumTransitionSystem:
         for a, b in zip(self.transitions, other.transitions):
             if (a.pre, a.post, a.spec) != (b.pre, b.post, b.spec):
                 return False
-            if len(a.op.kraus) != len(b.op.kraus):
+            if len(a.local.kraus) != len(b.local.kraus):
                 return False
-            for ka, kb in zip(a.op.kraus, b.op.kraus):
+            for ka, kb in zip(a.local.kraus, b.local.kraus):
                 if np.abs(ka - kb).max() > tol:
                     return False
         return True
@@ -188,11 +216,11 @@ class Configuration:
         # kept so that `support` repeats linalg.support's stricter check
         # without another pass over the matrix
         defect = float(np.abs(state - state.conj().T).max(initial=0.0))
-        if defect > 1e3 * TOL_HERM:
+        if defect > TOL_HERM_STATE:
             raise DimensionMismatch("configuration state is not Hermitian")
         object.__setattr__(self, "_herm_defect", defect)
         tr = float(np.trace(state).real)
-        if abs(tr - 1.0) > 1e-9:
+        if abs(tr - 1.0) > TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
         if not 0.0 < self.probability <= 1.0 + 1e-12:
             raise DimensionMismatch(
@@ -217,6 +245,25 @@ class Configuration:
         return spectral_support(*self.spectrum, rtol)
 
 
+def _apply_local(t: Transition, factor: np.ndarray) -> np.ndarray:
+    """The stack [E_1 F, ..., E_K F] for the full-register Kraus operators
+    E_k of `t.op`, computed from the local ones by contracting the target
+    axes of F in O(K 2^n r 2^t) instead of O(K 4^n r)."""
+    n, w = t.n_qubits, len(t.targets)
+    r = factor.shape[1]
+    # register qubit q is axis n - q of F reshaped to (2,)*n + (r,); wire j
+    # of the stacked local operators is row axis w - j + 1 and column axis
+    # 2w - j + 1, after the Kraus index
+    kraus = np.stack(t.local.kraus).reshape((-1,) + (2,) * (2 * w))
+    out = np.tensordot(kraus, factor.reshape((2,) * n + (r,)),
+                       axes=([2 * w - j + 1 for j in range(1, w + 1)],
+                             [n - q for q in t.targets]))
+    # out: Kraus index, row wires w..1, the untouched qubit axes, r
+    out = np.moveaxis(out, range(w + 1),
+                      [n] + [n - q for q in t.targets[::-1]])
+    return out.reshape(2 ** n, -1)
+
+
 def step(sys: QuantumTransitionSystem, config: Configuration):
     """One transition step: every outgoing branch with probability above
     TOL_PROB, as (successor configuration, branch probability) pairs.  The
@@ -228,14 +275,15 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
     its probability is |S|_F^2 and one thin SVD of S gives the successor's
     spectrum, from which its dense state is rebuilt.  Eigenvalues at or
     below _SPECTRUM_FLOOR times the largest, negative ones included, are
-    dropped as float noise."""
+    dropped as float noise.  Each E_k L contracts only the target axes of
+    L (see `_apply_local`)."""
     transitions = sys.outgoing(config.location)
     vecs, vals = config.spectrum
     keep = vals > _SPECTRUM_FLOOR * vals[0]
     factor = vecs[:, keep] * np.sqrt(vals[keep])
     results = []
     for t in transitions:
-        stack = np.hstack([k @ factor for k in t.op.kraus])
+        stack = _apply_local(t, factor)
         p = float(np.vdot(stack, stack).real)
         if p > ch.TOL_PROB:
             u, s, _ = np.linalg.svd(stack, full_matrices=False)
@@ -615,13 +663,8 @@ def serialize_model(sys: QuantumTransitionSystem) -> str:
             op = f"measure {spec.name}" \
                  f"[{', '.join(str(q) for q in spec.targets)}] = {spec.outcome}"
         else:
-            if isinstance(spec, KrausSpec):
-                mats, targets = spec.matrices, spec.targets
-            else:
-                mats = tuple(tuple(tuple(x for x in row) for row in k)
-                             for k in t.op.kraus)
-                targets = tuple(range(1, sys.n_qubits + 1))
-            body = " ; ".join(_format_matrix(m) for m in mats)
-            op = f"kraus {{ {body} }}[{', '.join(str(q) for q in targets)}]"
+            body = " ; ".join(_format_matrix(m) for m in spec.matrices)
+            op = f"kraus {{ {body} }}" \
+                 f"[{', '.join(str(q) for q in spec.targets)}]"
         lines.append(f"  {t.pre} -> {t.post} : {op}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmc import channel as ch
+from qmc import qts
 from qmc.errors import (BadParameter, DimensionMismatch, RepeatedQubit,
                         TargetOutOfRange, UnknownGate)
 
@@ -168,6 +169,14 @@ class TestEmbed:
             perm[y, b] = 1.0
         expected = perm @ np.kron(np.eye(2), u) @ perm.T
         assert np.abs(emb - expected).max() < 1e-12
+        # a transition keeps u (control wire 1, target wire 2) on its
+        # targets and lifts it on demand
+        for t in (qts.kraus_edge("a", "b", [u], [3, 1], 3),
+                  qts.gate_edge("a", "b", "CX", [3, 1], 3)):
+            lifted = ch.embed(t.local, t.targets, 3).kraus
+            assert len(t.op.kraus) == len(lifted) == 1
+            assert np.array_equal(t.op.kraus[0], lifted[0])
+            assert np.abs(t.op.kraus[0] - expected).max() < 1e-12
 
     def test_target_order_matters(self):
         a = ch.embed(ch.gate_library("CX"), [1, 2], 3)

@@ -132,7 +132,8 @@ class TestCheck:
             "--assert", str(FIXTURES / "xloop.ctql"), "--init", "|0>",
             "--format", "json", "--timings")
         report = json.loads(out)
-        assert report["reports"][0]["timings"]["build_s"] >= 0.0
+        assert report["timings"]["build_s"] > 0.0
+        assert set(report["reports"][0]["timings"]) == {"label_s"}
 
 
 class TestReach:

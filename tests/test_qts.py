@@ -1,5 +1,6 @@
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qmc import linalg as la
 from qmc import qts
 from qmc.errors import (DimensionMismatch, InvalidDensityMatrix,
                         MalformedCircuit, NormalisationViolation, ParseError,
-                        UnknownLocation)
+                        RepeatedQubit, TargetOutOfRange, UnknownLocation)
 
 from helpers import (dense_step, random_channel, random_circuit,
                      random_density, random_unit_vector, trace_distance)
@@ -159,10 +160,18 @@ class TestFactoredStep:
 
     def random_system(self, rng, n_qubits):
         # gates, flip noises and measurement branches, plus a random
-        # three-Kraus loop on the terminal locations
-        system = qts.compile_circuit(random_circuit(rng, n_qubits, 4),
-                                     n_qubits)
+        # three-Kraus loop on the terminal locations; from 3 qubits on, the
+        # circuit starts with a random 2-qubit channel on a non-adjacent
+        # target pair, in either order
+        circuit = random_circuit(rng, n_qubits, 4)
         loop = random_channel(rng, n_qubits, n_kraus=3)
+        if n_qubits >= 3:
+            pairs = [(a, b) for a in range(1, n_qubits + 1)
+                     for b in range(1, n_qubits + 1) if abs(a - b) > 1]
+            pair = pairs[int(rng.integers(len(pairs)))]
+            circuit = qts.Seq(qts.Gate(pair, op=random_channel(rng, 2)),
+                              circuit)
+        system = qts.compile_circuit(circuit, n_qubits)
         qubits = tuple(range(1, n_qubits + 1))
         transitions = [t if t.pre != t.post else
                        qts.kraus_edge(t.pre, t.post, loop.kraus, qubits,
@@ -172,10 +181,10 @@ class TestFactoredStep:
                                            system.initial,
                                            tuple(transitions))
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(10))
     def test_successors_match_dense_application(self, seed):
         rng = np.random.default_rng(seed)
-        n = 1 + seed % 3
+        n = 1 + seed % 5
         d = 2 ** n
         system = self.random_system(rng, n)
         for rank in range(1, d + 1):
@@ -214,6 +223,57 @@ class TestFactoredStep:
         config = qts.Configuration("l0", rho)
         with pytest.raises(InvalidDensityMatrix):
             config.support()
+
+
+class TestGateLocal:
+    """Transitions keep their channels on their target qubits."""
+
+    def test_mixed_target_defect_matches_dense_sum(self, rng):
+        # two trace-reducing edges on [2] and [1, 3] that together fall
+        # short of the identity
+        def contraction(d):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return 0.6 * g / np.linalg.norm(g, 2)
+
+        edges = (qts.kraus_edge("l0", "l0", [contraction(2)], (2,), 3),
+                 qts.kraus_edge("l0", "l0", [contraction(4)], (1, 3), 3))
+        total = sum(k.conj().T @ k for t in edges for k in t.op.kraus)
+        dense = float(np.abs(total - np.eye(8)).max())
+        with pytest.raises(NormalisationViolation) as info:
+            qts.QuantumTransitionSystem(3, ("l0",), "l0", edges)
+        assert info.value.location == "l0"
+        assert abs(info.value.defect - dense) <= 1e-15
+
+    def test_edges_reject_bad_targets(self):
+        x = [ch.PAULI_X]
+        for bad, error in (((4,), TargetOutOfRange), ((0,), TargetOutOfRange),
+                           ((2, 2), RepeatedQubit)):
+            wide = len(bad) == 2
+            with pytest.raises(error):
+                qts.gate_edge("a", "b", "CX" if wide else "X", bad, 3)
+            with pytest.raises(error):
+                qts.kraus_edge("a", "b", [np.eye(4)] if wide else x, bad, 3)
+            with pytest.raises(error):
+                qts.measure_edge("a", "b", bad, 0, 3)
+
+    def test_parse_builds_no_register_sized_operator(self):
+        # 10 qubits: one dense Kraus operator is 16 MiB, and lifting every
+        # edge to the full register at parse time peaked at 272 MiB
+        n = 10
+        circuit = qts.Gate((1,), name="H")
+        for q in range(1, n):
+            circuit = qts.Seq(circuit, qts.Gate((q, q + 1), name="CX"))
+        circuit = qts.Seq(circuit, qts.Gate(
+            (1,), op=ch.noise_library("bit_flip", 0.9)))
+        text = qts.serialize_model(qts.compile_circuit(circuit, n))
+        tracemalloc.start()
+        try:
+            system = qts.parse_model(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(system.transitions) == n + 2
+        assert peak < 2 * 2 ** 20
 
 
 class TestTeleportation:
