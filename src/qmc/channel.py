@@ -37,10 +37,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
-                     RepeatedQubit, TargetOutOfRange, UnknownGate)
-from .linalg import TOL_HERM, TOL_NORM, _frozen, is_hermitian
-
-TOL_PROB = 1e-12  # branches below this probability are dropped
+                     NormalisationViolation, RepeatedQubit, TargetOutOfRange,
+                     UnknownGate)
+from .linalg import TOL_HERM, TOL_NORM, TOL_PROB, _frozen, is_hermitian
 
 
 class TraceClass(Enum):
@@ -54,7 +53,9 @@ class SuperOperator:
 
     Trace-preserving channels satisfy sum E_i^dagger E_i = I; trace-reducing
     ones (measurement branches) only require the defect I - sum E'E to be
-    positive semidefinite."""
+    positive semidefinite.  This is the one place a Kraus sum is checked:
+    a set that breaks its rule raises `NormalisationViolation`, a wrong
+    shape plain `DimensionMismatch`."""
 
     n_qubits: int
     kraus: tuple
@@ -72,17 +73,16 @@ class SuperOperator:
             if k.shape != (d, d):
                 raise DimensionMismatch(
                     f"Kraus operator shape {k.shape}, expected {(d, d)}")
-        total = sum(k.conj().T @ k for k in mats)
-        defect = np.eye(d) - total
+        defect = np.eye(d) - sum(k.conj().T @ k for k in mats)
+        worst = float(np.abs(defect).max())
         if self.trace_class is TraceClass.PRESERVING:
-            if np.abs(defect).max() > TOL_NORM:
-                raise DimensionMismatch(
+            if worst > TOL_NORM:
+                raise NormalisationViolation(
                     "Kraus operators do not sum to a trace-preserving map "
-                    f"(defect {np.abs(defect).max():.2e})")
-        else:
-            if np.linalg.eigvalsh((defect + defect.conj().T) / 2).min() < -TOL_NORM:
-                raise DimensionMismatch(
-                    "trace-reducing channel exceeds the identity")
+                    f"(defect {worst:.2e})", defect=worst)
+        elif np.linalg.eigvalsh((defect + defect.conj().T) / 2).min() < -TOL_NORM:
+            raise NormalisationViolation(
+                "trace-reducing channel exceeds the identity", defect=worst)
         object.__setattr__(self, "kraus", mats)
 
     @property
@@ -91,14 +91,16 @@ class SuperOperator:
 
     @classmethod
     def from_kraus(cls, mats, trace_class=None) -> "SuperOperator":
-        mats = [np.asarray(m, dtype=complex) for m in mats]
+        """Channel of a Kraus set; without a trace class it is preserving
+        when the set is normalised and reducing otherwise."""
+        mats = tuple(np.asarray(m, dtype=complex) for m in mats)
         n = int(round(math.log2(mats[0].shape[0])))
-        if trace_class is None:
-            d = mats[0].shape[0]
-            defect = np.eye(d) - sum(m.conj().T @ m for m in mats)
-            close = np.abs(defect).max() <= TOL_NORM
-            trace_class = TraceClass.PRESERVING if close else TraceClass.REDUCING
-        return cls(n, tuple(mats), trace_class)
+        if trace_class is not None:
+            return cls(n, mats, trace_class)
+        try:
+            return cls(n, mats, TraceClass.PRESERVING)
+        except NormalisationViolation:
+            return cls(n, mats, TraceClass.REDUCING)
 
     @classmethod
     def unitary(cls, u) -> "SuperOperator":
@@ -160,18 +162,18 @@ def compose_parallel(e: SuperOperator, f: SuperOperator) -> SuperOperator:
 
 def check_targets(targets, shape, total: int) -> tuple:
     """The register qubits `targets` of an operator of the given matrix
-    shape, validated against a `total`-qubit register: one target per wire,
-    none repeated, all in 1..total."""
+    shape, validated against a `total`-qubit register: all in 1..total,
+    none repeated, one target per wire (checked in that order)."""
     targets = tuple(targets)
-    k = len(targets)
-    if tuple(shape) != (2 ** k, 2 ** k):
-        raise DimensionMismatch(
-            f"operator shape {tuple(shape)} does not fit {k} target qubits")
-    if len(set(targets)) != k:
-        raise RepeatedQubit(f"repeated target in {list(targets)}")
     for t in targets:
         if not 1 <= t <= total:
             raise TargetOutOfRange(f"qubit {t} outside 1..{total}")
+    k = len(targets)
+    if len(set(targets)) != k:
+        raise RepeatedQubit(f"repeated target in {list(targets)}")
+    if tuple(shape) != (2 ** k, 2 ** k):
+        raise DimensionMismatch(
+            f"operator shape {tuple(shape)} does not fit {k} target qubits")
     return targets
 
 
@@ -183,14 +185,15 @@ def expand_operator(op: np.ndarray, targets, total: int) -> np.ndarray:
     k = len(targets)
     rest = [q for q in range(1, total + 1) if q not in targets]
     dest = targets + rest  # wire j+1 of the padded operator -> qubit dest[j]
-    full = np.kron(np.eye(2 ** (total - k)), op)
-    fwd = np.zeros(2 ** total, dtype=np.intp)
-    for j, q in enumerate(dest):
-        bit = (np.arange(2 ** total) >> j) & 1
-        fwd |= bit << (q - 1)
-    out = np.zeros_like(full)
-    out[np.ix_(fwd, fwd)] = full
-    return out
+    # kron(I, op) with one axis per bit, most significant first: row axis a
+    # holds wire total - a, which the result keeps on axis total - qubit
+    full = np.eye(2 ** (total - k))[:, None, :, None] * op[None, :, None, :]
+    axes = [0] * total
+    for a in range(total):
+        axes[total - dest[total - 1 - a]] = a
+    full = full.reshape((2,) * (2 * total))
+    return full.transpose(axes + [a + total for a in axes]).reshape(
+        2 ** total, 2 ** total)
 
 
 def embed(e: SuperOperator, targets, total: int) -> SuperOperator:
@@ -208,24 +211,16 @@ class Measurement:
     branches: dict
 
     def __post_init__(self):
-        d = 2 ** self.n_qubits
-        branches = {m: _frozen(mat) for m, mat in self.branches.items()}
-        if not branches:
-            raise DimensionMismatch("a measurement needs at least one branch")
-        total = np.zeros((d, d), dtype=complex)
-        for m, mat in branches.items():
-            if mat.shape != (d, d):
-                raise DimensionMismatch(
-                    f"branch {m}: shape {mat.shape}, expected {(d, d)}")
-            total += mat.conj().T @ mat
-        if np.abs(total - np.eye(d)).max() > TOL_NORM:
-            raise DimensionMismatch(
-                "measurement operators do not sum to the identity "
-                f"(defect {np.abs(total - np.eye(d)).max():.2e})")
-        object.__setattr__(self, "branches", dict(branches))
+        # together the branches are one trace-preserving channel
+        whole = SuperOperator(self.n_qubits, tuple(self.branches.values()))
+        object.__setattr__(self, "branches",
+                           dict(zip(self.branches, whole.kraus)))
 
     def branch_channel(self, outcome) -> SuperOperator:
         """The trace-reducing channel {M_m} of one outcome."""
+        if outcome not in self.branches:
+            raise BadParameter(f"no outcome {outcome!r}; the outcomes are "
+                               f"{list(self.branches)}")
         return SuperOperator(self.n_qubits, (self.branches[outcome],),
                              TraceClass.REDUCING)
 
@@ -330,15 +325,6 @@ def gate_matrix(name: str, *params: float) -> np.ndarray:
         pauli = _ROTATIONS[key]
         return (math.cos(theta / 2) * np.eye(2)
                 - 1j * math.sin(theta / 2) * pauli)
-    raise UnknownGate(f"unknown gate {name!r}")
-
-
-def gate_wire_count(name: str) -> int:
-    key = name.upper()
-    if key in _FIXED_GATES:
-        return int(round(math.log2(_FIXED_GATES[key].shape[0])))
-    if key in _ROTATIONS:
-        return 1
     raise UnknownGate(f"unknown gate {name!r}")
 
 

@@ -26,9 +26,9 @@ from . import linalg as la
 from . import logic as lg
 from . import qts as q
 from .errors import NoTraceAvailable, UnboundAtom
+from .linalg import TOL_FP
 
 FP_DECIMALS = 7     # fingerprint rounding, decimal places
-TOL_FP = 1e-7       # states closer than this share a node
 DEFAULT_BOUND = 64  # exploration depth when none is given
 
 COMPLETE = "complete"

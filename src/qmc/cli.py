@@ -31,7 +31,7 @@ import numpy as np
 from . import checker, kets, linalg as la, logic, qts, reach
 from . import channel as ch
 from .errors import QmcError
-from .parsing import TokenStream, tokenize
+from .parsing import TokenStream, parse_matrix, tokenize
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -89,14 +89,14 @@ def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
         raise QmcError(f"initial state file {spec!r} does not exist")
     with open(spec, encoding="utf-8") as fh:
         ts = TokenStream(tokenize(fh.read(), ["[", "]", ",", "+", "-"]))
-    rows = qts._parse_matrix(ts)
+    rows = parse_matrix(ts)
     rho = np.array(rows, dtype=complex)
     if rho.shape != (d, d):
         raise QmcError(f"density matrix is {rho.shape}, model needs ({d},{d})")
-    if not la.is_hermitian(rho, 1e-6):
+    if not la.is_hermitian(rho, la.TOL_HERM_STATE):
         raise QmcError("density matrix is not Hermitian")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-6 or tr <= 0.0:
+    if abs(tr - 1.0) > la.TOL_HERM_STATE or tr <= 0.0:
         raise QmcError(f"density matrix trace is {tr}, expected 1")
     return (rho + rho.conj().T) / (2.0 * tr)
 

@@ -25,14 +25,6 @@ class MalformedNetwork(QmcError):
     pass
 
 
-class RepeatedQubit(QmcError):
-    pass
-
-
-class TargetOutOfRange(QmcError):
-    pass
-
-
 class UnknownGate(QmcError):
     pass
 
@@ -42,6 +34,14 @@ class BadParameter(QmcError):
 
 
 class MalformedCircuit(QmcError):
+    pass
+
+
+class RepeatedQubit(MalformedCircuit):
+    pass
+
+
+class TargetOutOfRange(MalformedCircuit):
     pass
 
 
@@ -66,11 +66,12 @@ class ParseError(QmcError):
         self.column = column
 
 
-class NormalisationViolation(QmcError):
-    """A location's outgoing operators do not sum to a trace-preserving map.
+class NormalisationViolation(DimensionMismatch):
+    """A Kraus set, or a location's outgoing operators, do not sum to a
+    trace-preserving map (or, for a trace-reducing set, exceed it).
 
-    Carries the offending location and the defect norm ``max |sum E'E - I|``,
-    plus the source position when raised by the parser.
+    Carries the defect norm ``max |sum E'E - I|``, plus the offending
+    location and the source position when those are known.
     """
 
     def __init__(self, message: str, location=None, defect=None,

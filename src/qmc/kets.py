@@ -14,7 +14,8 @@ import re
 import numpy as np
 
 from .errors import ParseError
-from .parsing import IDENT, IMAG, NUMBER, PUNCT, Token, TokenStream
+from .parsing import (IDENT, IMAG, NUMBER, PUNCT, Token, TokenStream,
+                      parse_complex)
 
 KET = "KET"
 
@@ -150,7 +151,6 @@ class _KetParser:
 
     def _paren_complex(self) -> complex:
         self.ts.expect_punct("(")
-        from .parsing import parse_complex
         z = parse_complex(self.ts)
         self.ts.expect_punct(")")
         return z

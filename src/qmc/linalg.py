@@ -23,17 +23,21 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix
 
+# The package's tolerances, all in one table.
 TOL_EIG = 1e-8      # relative rank cut for eigen/singular values
 TOL_ORTHO = 1e-9    # orthonormality defect allowed in a stored basis
 TOL_MEMBER = 1e-7   # relative residual for membership tests
 TOL_HERM = 1e-9     # Hermiticity defect allowed in density matrices
-# Hermiticity defect a qts.Configuration accepts.  It is looser than
-# TOL_HERM because a configuration only stores its state: a hand-built
-# state with rounded entries may still start a graph, and
+# Hermiticity (and, for an initial-state file, trace) defect a hand-built
+# state may carry.  It is looser than TOL_HERM because such a state only
+# starts a graph: a hand-built state with rounded entries is accepted, and
 # Configuration.support applies TOL_HERM before any support is read.
 TOL_HERM_STATE = 1e3 * TOL_HERM
 TOL_NORM = 1e-9     # normalisation defect (unit vectors, Kraus sums)
 TOL_RECON = 1e-10   # Schmidt reconstruction error
+TOL_PROB = 1e-12    # branches below this probability are dropped
+TOL_PROB_EXCESS = 1e-12  # rounding a branch probability may carry above 1
+TOL_FP = 1e-7       # states closer than this share a graph node
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

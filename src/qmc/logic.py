@@ -18,6 +18,7 @@ Assertion files bind atoms with `let name = span { "ket", ... }` or
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import linalg as la
 from .errors import DimensionMismatch, ParseError, UnboundAtom
 from .kets import ket_string, parse_ket
-from .parsing import EOF, IDENT, STRING, TokenStream, tokenize
+from .parsing import EOF, IDENT, STRING, TokenStream, parse_matrix, tokenize
 
 _PUNCTS = ["&&", "->", "!", "~", "&", "|", "[", "]", "(", ")", "{", "}",
            ",", ":", "="]
@@ -405,8 +406,7 @@ def parse_assertions(text: str) -> AssertionDoc:
                 bindings[name_tok.text] = la.Subspace.span(vectors)
             elif ts.at_keyword("matrix"):
                 ts.next()
-                from .qts import _parse_matrix
-                rows = _parse_matrix(ts)
+                rows = parse_matrix(ts)
                 mat = np.array(rows, dtype=complex)
                 bindings[name_tok.text] = la.Subspace(la.orth_columns(mat))
             else:
@@ -444,5 +444,4 @@ def serialize_assertions(doc: AssertionDoc) -> str:
 
 
 def _nbits(sub: la.Subspace) -> int:
-    import math
     return max(1, int(round(math.log2(sub.ambient_dim))))

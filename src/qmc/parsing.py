@@ -190,6 +190,27 @@ def parse_complex(ts: TokenStream) -> complex:
     return z
 
 
+def parse_matrix(ts: TokenStream) -> tuple:
+    """Square matrix literal `[[a, b], [c, d]]` of complex entries, as a
+    tuple of row tuples."""
+    ts.expect_punct("[")
+    rows = []
+    while True:
+        ts.expect_punct("[")
+        row = [parse_complex(ts)]
+        while ts.accept_punct(","):
+            row.append(parse_complex(ts))
+        ts.expect_punct("]")
+        rows.append(tuple(row))
+        if not ts.accept_punct(","):
+            break
+    ts.expect_punct("]")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(rows) != width:
+        ts.error("matrix must be square")
+    return tuple(rows)
+
+
 def format_complex(z: complex) -> str:
     """Canonical text for a complex literal; floats keep full precision so
     serialize -> parse round trips exactly."""

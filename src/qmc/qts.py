@@ -17,6 +17,12 @@ operators and one thin SVD, so only a configuration built by hand (such as
 the root of a graph) ever needs an eigendecomposition, and the checker
 reads every node's support straight from the factor.
 
+The edge constructors `gate_edge`, `kraus_edge` and `measure_edge` are
+the one place a transition is validated: `channel.check_targets` checks
+its targets and arity, `channel.SuperOperator` its normalisation.  The
+circuit compiler and the parser add no checks of their own; the parser
+only re-raises a constructor's error at the transition's position.
+
 This module also owns the textual model format (see docs/model_format.md
 for the grammar).  Each transition keeps the surface form it was written
 in, so serialize -> parse round trips reproduce the system exactly.
@@ -33,11 +39,11 @@ import numpy as np
 from . import channel as ch
 from .errors import (DimensionMismatch, InvalidDensityMatrix,
                      MalformedCircuit, NormalisationViolation, ParseError,
-                     UnknownGate, UnknownLocation)
-from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM, Subspace,
-                     spectral_support)
+                     QmcError, UnknownLocation)
+from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM,
+                     TOL_PROB_EXCESS, Subspace, spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
-                      parse_complex, tokenize)
+                      parse_matrix, tokenize)
 
 # Eigenvalues at or below this fraction of the largest are float noise and
 # leave the spectral factor; keeping them would multiply its rank by the
@@ -104,7 +110,7 @@ def gate_edge(pre, post, name, targets, n_qubits, params=()) -> Transition:
     """A named gate; the first listed target plays the gate's first
     (textbook most-significant) wire, so the wire list is reversed onto the
     little-endian register."""
-    spec = GateSpec(name, tuple(targets), tuple(params))
+    spec = GateSpec(name.upper(), tuple(targets), tuple(params))
     local = ch.SuperOperator.unitary(ch.gate_matrix(name, *spec.params))
     return Transition(pre, post, local, spec.targets[::-1], n_qubits, spec)
 
@@ -120,7 +126,10 @@ def kraus_edge(pre, post, matrices, targets, n_qubits) -> Transition:
 
 def measure_edge(pre, post, targets, outcome, n_qubits, name="M") -> Transition:
     spec = MeasureSpec(name, tuple(targets), int(outcome))
-    m = ch.computational_measurement(len(spec.targets))
+    k = len(spec.targets)
+    # the measurement grows with the target list, so validate it first
+    ch.check_targets(spec.targets, (2 ** k, 2 ** k), n_qubits)
+    m = ch.computational_measurement(k)
     return Transition(pre, post, m.branch_channel(spec.outcome),
                       spec.targets, n_qubits, spec)
 
@@ -152,19 +161,16 @@ class QuantumTransitionSystem:
             # tensor the identity, so its largest entry is found on them
             span = sorted({q for t in ts for q in t.targets})
             wire = {q: j for j, q in enumerate(span, 1)}
-            d = 2 ** len(span)
-            total = np.zeros((d, d), dtype=complex)
-            for t in ts:
-                for k in t.local.kraus:
-                    k = ch.expand_operator(k, [wire[q] for q in t.targets],
-                                           len(span))
-                    total += k.conj().T @ k
-            defect = float(np.abs(total - np.eye(d)).max())
-            if defect > TOL_NORM:
+            kraus = tuple(
+                ch.expand_operator(k, [wire[q] for q in t.targets], len(span))
+                for t in ts for k in t.local.kraus)
+            try:
+                ch.SuperOperator(len(span), kraus)
+            except NormalisationViolation as exc:
                 raise NormalisationViolation(
                     f"outgoing operators at location {l!r} sum to a map with "
-                    f"normalisation defect {defect:.3e}", location=l,
-                    defect=defect)
+                    f"normalisation defect {exc.defect:.3e}", location=l,
+                    defect=exc.defect) from None
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "transitions", tuple(self.transitions))
         self._out.update(out)
@@ -222,7 +228,7 @@ class Configuration:
         tr = float(np.trace(state).real)
         if abs(tr - 1.0) > TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
-        if not 0.0 < self.probability <= 1.0 + 1e-12:
+        if not 0.0 < self.probability <= 1.0 + TOL_PROB_EXCESS:
             raise DimensionMismatch(
                 f"branch probability {self.probability} outside (0, 1]")
         state.setflags(write=False)
@@ -339,12 +345,15 @@ class Cond:
         object.__setattr__(self, "branches", dict(self.branches))
 
 
-def _check_targets(qubits, n_qubits, what):
-    if len(set(qubits)) != len(qubits):
-        raise MalformedCircuit(f"{what}: repeated qubit in {qubits}")
-    for q in qubits:
-        if not 1 <= q <= n_qubits:
-            raise MalformedCircuit(f"{what}: qubit {q} outside 1..{n_qubits}")
+def _branch_edge(pre, post, cond: Cond, outcome, n_qubits) -> Transition:
+    """The edge of one outcome of `cond`: a `measure` edge when its branch
+    operator is the computational-basis projector on `cond.qubits`, else a
+    Kraus edge carrying the operator."""
+    mat = cond.measurement.branch_channel(outcome).kraus[0]
+    if (len(mat) == 2 ** len(cond.qubits) and outcome in range(len(mat))
+            and mat[outcome, outcome] == 1 and np.count_nonzero(mat) == 1):
+        return measure_edge(pre, post, cond.qubits, outcome, n_qubits)
+    return kraus_edge(pre, post, [mat], cond.qubits, n_qubits)
 
 
 def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
@@ -353,7 +362,8 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
     Gates become single edges, sequencing chains sub-systems, and a
     measurement fans out one trace-reducing edge per outcome followed by a
     fresh copy of that outcome's branch (the result is a tree).  Every
-    terminal location gets an identity self-loop so paths never end."""
+    terminal location gets an identity self-loop so paths never end.
+    The edge constructors validate every edge."""
     counter = itertools.count()
     locations = []
     transitions = []
@@ -365,17 +375,12 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
 
     def emit(node, pre) -> list:
         if isinstance(node, Gate):
-            _check_targets(node.qubits, n_qubits, "gate")
             post = fresh()
             if node.name is not None:
                 transitions.append(gate_edge(pre, post, node.name,
                                              node.qubits, n_qubits,
                                              node.params))
             else:
-                if node.op.n_qubits != len(node.qubits):
-                    raise MalformedCircuit(
-                        f"{node.op.n_qubits}-qubit channel applied to "
-                        f"{len(node.qubits)} qubits")
                 transitions.append(kraus_edge(pre, post, node.op.kraus,
                                               node.qubits, n_qubits))
             return [post]
@@ -385,21 +390,15 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
                 terminals.extend(emit(node.second, mid))
             return terminals
         if isinstance(node, Cond):
-            _check_targets(node.qubits, n_qubits, "measurement")
-            if len(node.qubits) != node.measurement.n_qubits:
+            missing = set(node.measurement.branches) - set(node.branches)
+            if missing:
                 raise MalformedCircuit(
-                    f"{node.measurement.n_qubits}-qubit measurement on "
-                    f"{len(node.qubits)} qubits")
-            outcomes = sorted(node.measurement.branches)
-            if sorted(node.branches) != outcomes:
-                raise MalformedCircuit(
-                    f"branches {sorted(node.branches)} do not cover "
-                    f"outcomes {outcomes}")
+                    f"no branch for outcomes {sorted(missing)}")
             terminals = []
-            for outcome in outcomes:
+            for outcome in sorted(node.branches):
                 post = fresh()
-                transitions.append(measure_edge(pre, post, node.qubits,
-                                                outcome, n_qubits))
+                transitions.append(_branch_edge(pre, post, node, outcome,
+                                                n_qubits))
                 terminals.extend(emit(node.branches[outcome], post))
             return terminals
         raise MalformedCircuit(f"not a circuit node: {node!r}")
@@ -523,40 +522,13 @@ def parse_model(text: str) -> QuantumTransitionSystem:
             defect=exc.defect, line=line, column=col) from None
 
 
-def _parse_targets(ts: TokenStream, n_qubits: int) -> tuple:
+def _parse_targets(ts: TokenStream) -> tuple:
     ts.expect_punct("[")
     targets = [ts.expect_int("qubit id")]
     while ts.accept_punct(","):
         targets.append(ts.expect_int("qubit id"))
-    close = ts.peek()
     ts.expect_punct("]")
-    for q in targets:
-        if not 1 <= q <= n_qubits:
-            raise ParseError(f"qubit {q} outside 1..{n_qubits}", close.line,
-                             close.column)
-    if len(set(targets)) != len(targets):
-        raise ParseError(f"repeated qubit in {targets}", close.line,
-                         close.column)
     return tuple(targets)
-
-
-def _parse_matrix(ts: TokenStream):
-    ts.expect_punct("[")
-    rows = []
-    while True:
-        ts.expect_punct("[")
-        row = [parse_complex(ts)]
-        while ts.accept_punct(","):
-            row.append(parse_complex(ts))
-        ts.expect_punct("]")
-        rows.append(tuple(row))
-        if not ts.accept_punct(","):
-            break
-    ts.expect_punct("]")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or len(rows) != width:
-        ts.error("matrix must be square")
-    return tuple(rows)
 
 
 def _parse_transition(ts: TokenStream, n_qubits: int, known) -> Transition:
@@ -570,15 +542,10 @@ def _parse_transition(ts: TokenStream, n_qubits: int, known) -> Transition:
         raise ParseError(f"undeclared location {post_tok.text!r}",
                          post_tok.line, post_tok.column)
     ts.expect_punct(":")
-    kind = ts.peek()
+    op_tok = ts.peek()
     if ts.at_keyword("gate"):
         ts.next()
-        name_tok = ts.expect_ident("gate name")
-        try:
-            wires = ch.gate_wire_count(name_tok.text)
-        except UnknownGate:
-            raise ParseError(f"unknown gate {name_tok.text!r}",
-                             name_tok.line, name_tok.column) from None
+        name = ts.expect_ident("gate name").text
         params = []
         if ts.accept_punct("("):
             while True:
@@ -591,50 +558,36 @@ def _parse_transition(ts: TokenStream, n_qubits: int, known) -> Transition:
                 if not ts.accept_punct(","):
                     break
             ts.expect_punct(")")
-        targets = _parse_targets(ts, n_qubits)
-        if len(targets) != wires:
-            raise ParseError(
-                f"gate {name_tok.text} acts on {wires} qubit(s), "
-                f"got {len(targets)}", name_tok.line, name_tok.column)
-        return gate_edge(pre_tok.text, post_tok.text, name_tok.text.upper(),
-                         targets, n_qubits, tuple(params))
-    if ts.at_keyword("kraus"):
-        open_tok = ts.next()
-        ts.expect_punct("{")
-        mats = [_parse_matrix(ts)]
-        while ts.accept_punct(";"):
-            mats.append(_parse_matrix(ts))
-        ts.expect_punct("}")
-        targets = _parse_targets(ts, n_qubits)
-        dim = 2 ** len(targets)
-        for m in mats:
-            if len(m) != dim:
-                raise ParseError(
-                    f"kraus matrix is {len(m)}x{len(m)}, expected "
-                    f"{dim}x{dim} for {len(targets)} qubit(s)",
-                    open_tok.line, open_tok.column)
-        try:
-            return kraus_edge(pre_tok.text, post_tok.text,
-                              [np.array(m) for m in mats], targets, n_qubits)
-        except DimensionMismatch as exc:
-            raise NormalisationViolation(str(exc), location=pre_tok.text,
-                                         line=open_tok.line,
-                                         column=open_tok.column)
-    if ts.at_keyword("measure"):
+        make, args = gate_edge, (name, _parse_targets(ts), n_qubits,
+                                 tuple(params))
+    elif ts.at_keyword("kraus"):
         ts.next()
-        name_tok = ts.expect_ident("measurement name")
-        targets = _parse_targets(ts, n_qubits)
+        ts.expect_punct("{")
+        mats = [parse_matrix(ts)]
+        while ts.accept_punct(";"):
+            mats.append(parse_matrix(ts))
+        ts.expect_punct("}")
+        make, args = kraus_edge, (mats, _parse_targets(ts), n_qubits)
+    elif ts.at_keyword("measure"):
+        ts.next()
+        name = ts.expect_ident("measurement name").text
+        targets = _parse_targets(ts)
         ts.expect_punct("=")
-        out_tok = ts.peek()
         outcome = ts.expect_int("outcome")
-        if not 0 <= outcome < 2 ** len(targets):
-            raise ParseError(
-                f"outcome {outcome} outside 0..{2 ** len(targets) - 1}",
-                out_tok.line, out_tok.column)
-        return measure_edge(pre_tok.text, post_tok.text, targets, outcome,
-                            n_qubits, name_tok.text)
-    raise ParseError(f"expected gate, kraus, or measure, got {kind.text!r}",
-                     kind.line, kind.column)
+        make, args = measure_edge, (targets, outcome, n_qubits, name)
+    else:
+        raise ParseError(f"expected gate, kraus, or measure, got "
+                         f"{op_tok.text!r}", op_tok.line, op_tok.column)
+    # the edge constructors validate the transition; a rejection is
+    # reported at the position of its operation
+    try:
+        return make(pre_tok.text, post_tok.text, *args)
+    except NormalisationViolation as exc:
+        raise NormalisationViolation(
+            str(exc), location=pre_tok.text, defect=exc.defect,
+            line=op_tok.line, column=op_tok.column) from exc
+    except QmcError as exc:
+        raise ParseError(str(exc), op_tok.line, op_tok.column) from exc
 
 
 def _format_matrix(rows) -> str:

@@ -118,6 +118,14 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert "FOO" in err
 
+    def test_bad_gate_parameters_reported_with_position(self, capsys):
+        for name in ("gate_params.qts", "missing_angle.qts"):
+            code, out, err = run_cli(
+                capsys, "fmt", "--model", str(FIXTURES / "bad" / name))
+            assert code == cli.EXIT_ERROR, name
+            assert out == ""
+            assert err.startswith("qmc: error: 7:14: "), err
+
     def test_normalisation_violation_reported(self, capsys):
         code, _, err = run_cli(
             capsys, "check",

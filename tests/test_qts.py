@@ -8,9 +8,10 @@ import pytest
 from qmc import channel as ch
 from qmc import linalg as la
 from qmc import qts
-from qmc.errors import (DimensionMismatch, InvalidDensityMatrix,
+from qmc.errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                         MalformedCircuit, NormalisationViolation, ParseError,
-                        RepeatedQubit, TargetOutOfRange, UnknownLocation)
+                        QmcError, RepeatedQubit, TargetOutOfRange,
+                        UnknownGate, UnknownLocation)
 
 from helpers import (dense_step, random_channel, random_circuit,
                      random_density, random_unit_vector, trace_distance)
@@ -92,6 +93,22 @@ class TestCompile:
                         {0: qts.Gate((1,), name="I")})
         with pytest.raises(MalformedCircuit):
             qts.compile_circuit(cond, 1)
+
+    def test_cond_keeps_its_measurement_operators(self):
+        # an X-basis measurement of |+> has one outcome, with certainty
+        minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
+        m = ch.Measurement(1, {0: np.outer(PLUS, PLUS),
+                               1: np.outer(minus, minus)})
+        cond = qts.Cond(m, (1,), {0: qts.Gate((1,), name="I"),
+                                  1: qts.Gate((1,), name="X")})
+        system = qts.compile_circuit(cond, 1)
+        check_normalisation(system)
+        plus_edge = system.outgoing(system.initial)[0]
+        (succ, p), = qts.step(system,
+                              qts.Configuration(system.initial, pure(PLUS)))
+        assert p == pytest.approx(1.0, abs=1e-12)
+        assert succ.location == plus_edge.post
+        assert np.abs(succ.state - pure(PLUS)).max() < 1e-12
 
 
 class TestBuildSequential:
@@ -274,6 +291,98 @@ class TestGateLocal:
             tracemalloc.stop()
         assert len(system.transitions) == n + 2
         assert peak < 2 * 2 ** 20
+
+
+def _identity_branches(*outcomes):
+    return {m: qts.Gate((1,), name="I") for m in outcomes}
+
+
+# one row per fault: the error class, then the same fault given to an edge
+# constructor, to compile_circuit (2 qubits) and as a .qts operation
+_FAULTS = {
+    "out-of-range qubit": (
+        TargetOutOfRange,
+        lambda: qts.gate_edge("a", "b", "H", (3,), 2),
+        qts.Gate((3,), name="H"), "gate H[3]"),
+    "repeated qubit": (
+        RepeatedQubit,
+        lambda: qts.gate_edge("a", "b", "CX", (1, 1), 2),
+        qts.Gate((1, 1), name="CX"), "gate CX[1, 1]"),
+    "gate arity": (
+        DimensionMismatch,
+        lambda: qts.gate_edge("a", "b", "CX", (1,), 2),
+        qts.Gate((1,), name="CX"), "gate CX[1]"),
+    "kraus arity": (
+        DimensionMismatch,
+        lambda: qts.kraus_edge("a", "b", [np.diag([1.0, 0.0])], (1, 2), 2),
+        qts.Cond(ch.computational_measurement(1), (1, 2),
+                 _identity_branches(0, 1)),
+        "kraus { [[1, 0], [0, 0]] }[1, 2]"),
+    "unknown gate": (
+        UnknownGate,
+        lambda: qts.gate_edge("a", "b", "FOO", (1,), 2),
+        qts.Gate((1,), name="FOO"), "gate FOO[1]"),
+    "bad parameter count": (
+        BadParameter,
+        lambda: qts.gate_edge("a", "b", "X", (1,), 2, (0.5,)),
+        qts.Gate((1,), name="X", params=(0.5,)), "gate X(0.5)[1]"),
+    "missing angle": (
+        BadParameter,
+        lambda: qts.gate_edge("a", "b", "RX", (1,), 2),
+        qts.Gate((1,), name="RX"), "gate RX[1]"),
+    "bad outcome": (
+        BadParameter,
+        lambda: qts.measure_edge("a", "b", (1,), 2, 2),
+        qts.Cond(ch.computational_measurement(1), (1,),
+                 _identity_branches(0, 1, 2)),
+        "measure M[1] = 2"),
+}
+
+
+class TestOneCheckPerRule:
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_every_entry_point_raises_the_same_class(self, fault):
+        error, edge, node, operation = _FAULTS[fault]
+        with pytest.raises(QmcError) as from_edge:
+            edge()
+        with pytest.raises(QmcError) as from_compile:
+            qts.compile_circuit(node, 2)
+        text = ("qubits 2\nlocations a b\ninitial a\ntransitions\n"
+                f"  a -> b : {operation}\n")
+        with pytest.raises(ParseError) as from_parse:
+            qts.parse_model(text)
+        assert type(from_edge.value) is error
+        assert type(from_compile.value) is error
+        assert type(from_parse.value.__cause__) is error
+        assert (from_parse.value.line, from_parse.value.column) == (5, 12)
+
+    def test_unknown_gate_keeps_its_spelling(self):
+        with pytest.raises(ParseError, match="unknown gate 'foo'"):
+            qts.parse_model("qubits 1\nlocations a\ninitial a\n"
+                            "transitions\na -> a : gate foo[1]\n")
+
+    def test_measure_edge_rejects_unknown_outcome(self):
+        with pytest.raises(QmcError):
+            qts.measure_edge("a", "b", (1,), 2, 1)
+
+    def test_measure_targets_checked_before_the_measurement_is_built(self):
+        # the measurement of k targets holds 2^k operators of 2^k x 2^k
+        targets = ", ".join(["1"] * 40)
+        with pytest.raises(ParseError) as info:
+            qts.parse_model("qubits 1\nlocations a b\ninitial a\ntransitions\n"
+                            f"  a -> b : measure M[{targets}] = 0\n")
+        assert isinstance(info.value.__cause__, RepeatedQubit)
+
+    def test_target_faults_are_malformed_circuits(self):
+        with pytest.raises(MalformedCircuit):
+            qts.gate_edge("a", "b", "CX", (1, 1), 2)
+        with pytest.raises(MalformedCircuit):
+            qts.measure_edge("a", "b", (3,), 0, 2)
+
+    def test_kraus_set_fault_is_normalisation_violation(self):
+        with pytest.raises(NormalisationViolation) as info:
+            qts.kraus_edge("a", "b", [2.0 * np.eye(2)], (1,), 1)
+        assert info.value.defect == pytest.approx(3.0)
 
 
 class TestTeleportation:
