@@ -1,21 +1,27 @@
 """Model checking of temporal assertions over configuration graphs.
 
 A configuration graph is the explicit-state unfolding of a transition
-system from an initial state: nodes are (location, state) pairs
-deduplicated by a rounded fingerprint, edges follow the system's
-transitions with their branch probabilities.  Exploration is breadth-first
-up to a bound; if unexpanded nodes remain the graph is truncated and
-verdicts become three-valued.
+system from an initial state: nodes are (location, state) pairs, edges
+follow the system's transitions with their branch probabilities.  Every
+node but the root holds only its state's spectral factor.  Two states at
+one location share a node when no entry differs by more than TOL_FP,
+found by a range query on a scalar key and confirmed on the factors (see
+`build_graph`).  A node's rounded `fingerprint` is computed only when a
+trace shows it.  Exploration is breadth-first up to a bound; if unexpanded
+nodes remain the graph is truncated and verdicts become three-valued.
 
 Checking labels every node with the state subformulas using the standard
 EX / EU / EG fixpoints, run twice on truncated graphs (a certain lower
 bound and a possible upper bound) so that `holds` and `fails` are only ever
 reported when the explored prefix already decides them.  Branch
-probabilities are carried for reporting; verdicts ignore them.
+probabilities are carried for reporting; verdicts ignore them.  Traces
+start at the root; a lasso counterexample is the path from the root that
+closes a cycle.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -30,26 +36,51 @@ from .linalg import TOL_FP
 
 FP_DECIMALS = 7     # fingerprint rounding, decimal places
 DEFAULT_BOUND = 64  # exploration depth when none is given
+_PROBE_SEED = 0     # seed of the dedup key's random vector
+_BLOCK = 1 << 16    # entries per block of rows in the dedup comparison
 
 COMPLETE = "complete"
 
 
 def fingerprint(state: np.ndarray) -> str:
-    """Hex digest of the Hermitian-symmetrized, rounded state."""
-    sym = (state + state.conj().T) / 2.0
-    rounded = np.round(sym, FP_DECIMALS) + 0.0  # fold -0.0 into +0.0
-    return hashlib.blake2b(np.ascontiguousarray(rounded).tobytes(),
-                           digest_size=16).hexdigest()
+    """Hex digest of the Hermitian-symmetrized state rounded to
+    FP_DECIMALS; it names a state in traces and reports."""
+    return _rounded_digest((state + state.conj().T) / 2.0)
+
+
+def _rounded_digest(sym: np.ndarray) -> str:
+    """`fingerprint` of an exactly Hermitian matrix, which symmetrizing
+    would not change by a bit; rounds `sym` in place."""
+    np.round(sym, FP_DECIMALS, out=sym)
+    sym += 0.0  # fold -0.0 into +0.0
+    return hashlib.blake2b(sym.tobytes(), digest_size=16).hexdigest()
 
 
 @dataclass(eq=False)
 class GraphNode:
+    """A configuration of the graph.  `digest` is `fingerprint` of its
+    state, computed on first read (only nodes on a trace need it) from a
+    transient rebuild of the state; `_digest` holds it once known."""
+
     index: int
     config: q.Configuration
-    digest: str
+    _digest: str
     depth: int
     complete: bool = False
     out: tuple = ()  # (dst index, branch probability) pairs
+
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            config = self.config
+            if config.factored:
+                # a fresh rebuild is exactly Hermitian, so the digest can
+                # skip fingerprint's d x d symmetrization, a quarter of
+                # ghz-noisy's check_s (BENCH_factored.json, digest_path)
+                self._digest = _rounded_digest(config.state)
+            else:
+                self._digest = fingerprint(config.state)
+        return self._digest
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +103,9 @@ class ConfigurationGraph:
         """Indices of the nodes whose state's support lies in the denoted
         subspace; cached per proposition, the subspaces bound to its atoms
         and the tolerances.  Each support is read from the node's spectral
-        factor (`Configuration.support`), so labeling decomposes no state."""
+        factor (`Configuration.support`), so labeling decomposes no state,
+        and `~p` and `true` denote co-bases (`linalg.Subspace`), so it
+        builds no d x d basis for them either."""
         member_tol = la.TOL_MEMBER if member_tol is None else member_tol
         eig_tol = la.TOL_EIG if eig_tol is None else eig_tol
         # Subspaces hash by identity, so rebinding an atom misses the cache.
@@ -93,6 +126,25 @@ class ConfigurationGraph:
         return self._labels[key]
 
 
+def _key(factor: np.ndarray, v: np.ndarray) -> float:
+    """<v|rho|v> = |L^dagger v|^2 for rho = L L^dagger, in O(d r)."""
+    w = factor.conj().T @ v
+    return float(np.vdot(w, w).real)
+
+
+def _within_tol(a: np.ndarray, b: np.ndarray) -> bool:
+    """max |A A^dagger - B B^dagger| <= TOL_FP, computed a block of rows
+    at a time so no d x d matrix is built."""
+    ah, bh = a.conj().T, b.conj().T
+    rows = max(1, _BLOCK // len(a))
+    for i in range(0, len(a), rows):
+        diff = a[i:i + rows] @ ah
+        diff -= b[i:i + rows] @ bh
+        if np.abs(diff).max() > TOL_FP:
+            return False
+    return True
+
+
 def build_graph(sys: q.QuantumTransitionSystem, rho0: np.ndarray,
                 bound: int = DEFAULT_BOUND,
                 dedup: bool = True) -> ConfigurationGraph:
@@ -100,12 +152,25 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0: np.ndarray,
 
     Frontier nodes are expanded layer by layer, in frontier order.  Nodes
     still unexpanded after `bound` layers leave the graph truncated.
-    `dedup=False` skips fingerprint merging and grows a tree, which only
-    terminates within the bound; it exists to validate that merging never
-    changes verdicts."""
+
+    A successor merges into the lowest-indexed node at its location whose
+    state differs from its own by at most TOL_FP in every entry.  Both
+    states are compared as L L^dagger from their spectral factors.  The
+    candidates come from a sorted list of keys k(rho) = <v|rho|v> per
+    location, for one fixed random vector v: max|rho - sigma| <= TOL_FP
+    implies |k(rho) - k(sigma)| <= TOL_FP |v|_1^2, so a range query of
+    twice that radius (the slack covers rounding in the keys) finds every
+    node the successor can merge into.  v is complex, so k reads the
+    coherences and not only the diagonal.  `dedup=False` skips merging and
+    grows a tree, which only terminates within the bound; it exists to
+    validate that merging never changes verdicts."""
     root = q.Configuration(sys.initial, np.asarray(rho0, dtype=complex))
-    nodes = [GraphNode(0, root, fingerprint(root.state), 0)]
-    buckets = {(root.location, nodes[0].digest): [0]}
+    nodes = [GraphNode(0, root, None, 0)]
+    d = root.state.shape[0]
+    rng = np.random.default_rng(_PROBE_SEED)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    radius = 2.0 * TOL_FP * float(np.abs(v).sum()) ** 2
+    keys = {root.location: [(_key(root.factor, v), 0)]}
     frontier = [0]
     for _ in range(bound):
         if not frontier:
@@ -114,20 +179,22 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0: np.ndarray,
         for index in frontier:
             edges = []
             for succ, p in q.step(sys, nodes[index].config):
-                key = (succ.location, fingerprint(succ.state))
+                factor = succ.factor
+                k = _key(factor, v)
+                near = keys.setdefault(succ.location, [])
                 dst = None
                 if dedup:
-                    for cand in buckets.get(key, ()):
-                        diff = np.abs(nodes[cand].config.state
-                                      - succ.state).max()
-                        if diff <= TOL_FP:
+                    lo = bisect.bisect_left(near, (k - radius, -1))
+                    hi = bisect.bisect_right(near, (k + radius, len(nodes)))
+                    for cand in sorted(i for _, i in near[lo:hi]):
+                        if _within_tol(nodes[cand].config.factor, factor):
                             dst = cand
                             break
                 if dst is None:
                     dst = len(nodes)
-                    nodes.append(GraphNode(dst, succ, key[1],
+                    nodes.append(GraphNode(dst, succ, None,
                                            nodes[index].depth + 1))
-                    buckets.setdefault(key, []).append(dst)
+                    bisect.insort(near, (k, dst))
                     next_frontier.append(dst)
                 edges.append((dst, p))
             nodes[index].complete = True
@@ -344,7 +411,8 @@ def _shortest_path(graph, start, allowed, targets):
 
 def _lasso(graph, start, region):
     """Path from start that closes a cycle inside `region` (start must be
-    in the region); the repeated node appears twice.  Depth-first in edge
+    in the region): the whole path from start, then the node that closes
+    the cycle, which so appears twice.  Depth-first in edge
     order, kept on an explicit stack so long cycles cannot overflow the
     interpreter's."""
     path = [start]
@@ -356,7 +424,7 @@ def _lasso(graph, start, region):
             if v not in region:
                 continue
             if v in on_path:
-                return path[path.index(v):] + [v]
+                return path + [v]
             if v not in seen:
                 seen.add(v)
                 on_path.add(v)

@@ -6,18 +6,19 @@ Conventions used by every module in this package:
   vector entry x = sum_i x_i * 2**(i-1), so qubit 1 is the least
   significant bit.
 * A subspace of a d-dimensional space is stored as a d x k matrix with
-  orthonormal columns; k = 0 encodes the zero subspace.
+  orthonormal columns; k = 0 encodes the zero subspace.  An
+  orthocomplement (and so the full space, the complement of the zero
+  subspace) is stored as a co-basis: the basis of the subspace it
+  complements, its own basis being computed only when it is read.
 * Rank decisions are relative: singular values or eigenvalues below
   TOL_EIG times the largest one count as zero, and an all-zero matrix has
   the zero subspace as its support.
 
-All values are immutable after construction and every function is pure,
-so everything here can be shared freely between threads.
+Every function is pure; the one value that changes after construction is
+a co-basis's basis, filled in on first read.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,18 +65,21 @@ def orth_columns(mat: np.ndarray, rtol: float = TOL_EIG) -> np.ndarray:
     return u[:, :rank]
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A closed subspace, held as an orthonormal column basis.
+    """A closed subspace, held as an orthonormal column basis, or as a
+    co-basis: the orthocomplement of a held subspace X, whose own basis is
+    only computed the first time `basis` is read.  A co-basis answers
+    `ambient_dim`, `dim` and membership (`contains`) from X alone, so `~X`
+    and `true` cost O(d k) instead of a d x d basis.
 
     Equality of subspaces is mutual containment (`same_space`), never
     equality of the stored bases.
     """
 
-    basis: np.ndarray
+    __slots__ = ("_basis", "_perp")
 
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
+    def __init__(self, basis):
+        b = np.asarray(basis, dtype=complex)
         if b.ndim != 2:
             raise DimensionMismatch("subspace basis must be a 2-d array")
         d, k = b.shape
@@ -84,15 +88,26 @@ class Subspace:
         gram = b.conj().T @ b
         if np.abs(gram - np.eye(k)).max(initial=0.0) > TOL_ORTHO:
             raise DimensionMismatch("subspace basis columns are not orthonormal")
-        object.__setattr__(self, "basis", _frozen(b))
+        self._basis = _frozen(b)
+        self._perp = None  # for a co-basis: the subspace it complements
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            self._basis = _complement_basis(self._perp.basis)
+        return self._basis
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis.shape[0]
+        if self._perp is not None:
+            return self._perp.ambient_dim
+        return self._basis.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        if self._perp is not None:
+            return self.ambient_dim - self._perp.dim
+        return self._basis.shape[1]
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -100,7 +115,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim))
+        return orthocomplement(cls.zero(ambient_dim))
 
     @classmethod
     def span(cls, vectors) -> "Subspace":
@@ -166,18 +181,31 @@ def join(subspaces) -> Subspace:
 
 
 def orthocomplement(x: Subspace) -> Subspace:
-    """All vectors orthogonal to `x`; dim(x) + dim(x^perp) = ambient dim."""
-    d, k = x.basis.shape
+    """All vectors orthogonal to `x`; dim(x) + dim(x^perp) = ambient dim.
+    The result is a co-basis of `x` (its basis is computed on first read),
+    and the complement of a co-basis is the subspace it complements."""
+    if x._perp is not None:
+        return x._perp
+    out = object.__new__(Subspace)
+    out._basis, out._perp = None, x
+    return out
+
+
+def _complement_basis(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthocomplement of an orthonormal basis."""
+    d, k = basis.shape
     if k == 0:
-        return Subspace.full(d)
+        return _frozen(np.eye(d))
     # null space of basis^dagger: right singular vectors past the rank
-    _, s, vh = np.linalg.svd(x.basis.conj().T, full_matrices=True)
+    _, s, vh = np.linalg.svd(basis.conj().T, full_matrices=True)
     rank = int(np.sum(s > TOL_EIG * s[0])) if s.size else 0
-    return Subspace(vh[rank:].conj().T)
+    return Subspace(vh[rank:].conj().T).basis
 
 
 def intersect(x: Subspace, y: Subspace) -> Subspace:
-    """Lattice meet, computed as the complement of the join of complements."""
+    """Lattice meet, computed as the complement of the join of complements.
+    A meet of co-bases is thus the co-basis of the join of the subspaces
+    they complement, and computes no complement basis."""
     if x.ambient_dim != y.ambient_dim:
         raise DimensionMismatch(
             f"ambient dims differ: {x.ambient_dim} vs {y.ambient_dim}")
@@ -186,7 +214,8 @@ def intersect(x: Subspace, y: Subspace) -> Subspace:
 
 def contains(x: Subspace, v, tol: float = TOL_MEMBER) -> bool:
     """Membership test: the residual (I - P_x) v is at most `tol`*|v| for a
-    vector, and columnwise for a subspace argument."""
+    vector, and columnwise for a subspace argument.  For a co-basis x of X
+    the residual is X X^dagger v, measured as |X^dagger v|."""
     if isinstance(v, Subspace):
         if v.ambient_dim != x.ambient_dim:
             raise DimensionMismatch(
@@ -199,7 +228,12 @@ def contains(x: Subspace, v, tol: float = TOL_MEMBER) -> bool:
                 f"vector dim {cols.shape[0]} vs ambient {x.ambient_dim}")
     if cols.shape[1] == 0:
         return True
-    resid = cols - x.basis @ (x.basis.conj().T @ cols)
+    if x._perp is not None:
+        # (I - P_x) v is the component along the complemented basis X, so
+        # its norm is |X^dagger v|
+        resid = x._perp.basis.conj().T @ cols
+    else:
+        resid = cols - x.basis @ (x.basis.conj().T @ cols)
     norms = np.linalg.norm(cols, axis=0)
     resid_norms = np.linalg.norm(resid, axis=0)
     scale = np.where(norms > 0.0, norms, 1.0)

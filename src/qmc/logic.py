@@ -68,7 +68,9 @@ class OrQ:
 
 def eval_prop(prop, bindings: dict, ambient_dim: int = None) -> la.Subspace:
     """Denotation of a proposition given atom bindings.  `ambient_dim` is
-    only needed when the proposition mentions no atoms at all."""
+    only needed when the proposition mentions no atoms at all.  `~p` and
+    `true` come out as co-bases (see `linalg.Subspace`): membership in them
+    is tested without a basis of the complement."""
     dim = ambient_dim
     for sub in _atoms(prop):
         if sub.name not in bindings:

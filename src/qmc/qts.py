@@ -15,7 +15,9 @@ A configuration carries its state's spectral factor (U, lambda), state =
 U diag(lambda) U^dagger.  Stepping maps the factor through the Kraus
 operators and one thin SVD, so only a configuration built by hand (such as
 the root of a graph) ever needs an eigendecomposition, and the checker
-reads every node's support straight from the factor.
+reads every node's support straight from the factor.  A configuration
+that `step` builds holds nothing but the factor, O(d r) numbers for a
+rank-r state: its dense state is rebuilt only when it is read.
 
 The edge constructors `gate_edge`, `kraus_edge` and `measure_edge` are
 the one place a transition is validated: `channel.check_targets` checks
@@ -37,11 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as ch
-from .errors import (DimensionMismatch, InvalidDensityMatrix,
+from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                      MalformedCircuit, NormalisationViolation, ParseError,
                      QmcError, UnknownLocation)
 from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM,
-                     TOL_PROB_EXCESS, Subspace, spectral_support)
+                     TOL_ORTHO, TOL_PROB_EXCESS, Subspace, spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_matrix, tokenize)
 
@@ -125,13 +127,20 @@ def kraus_edge(pre, post, matrices, targets, n_qubits) -> Transition:
 
 
 def measure_edge(pre, post, targets, outcome, n_qubits, name="M") -> Transition:
+    """One outcome of a computational-basis measurement of `targets`: the
+    projector onto the outcome's little-endian bitstring, and only it."""
     spec = MeasureSpec(name, tuple(targets), int(outcome))
-    k = len(spec.targets)
-    # the measurement grows with the target list, so validate it first
-    ch.check_targets(spec.targets, (2 ** k, 2 ** k), n_qubits)
-    m = ch.computational_measurement(k)
-    return Transition(pre, post, m.branch_channel(spec.outcome),
-                      spec.targets, n_qubits, spec)
+    d = 2 ** len(spec.targets)
+    # the projector grows as 4^k with the target list, so validate it first
+    ch.check_targets(spec.targets, (d, d), n_qubits)
+    if not 0 <= spec.outcome < d:
+        raise BadParameter(f"no outcome {spec.outcome!r}; the outcomes are "
+                           f"0..{d - 1}")
+    proj = np.zeros((d, d), dtype=complex)
+    proj[spec.outcome, spec.outcome] = 1.0
+    local = ch.SuperOperator(len(spec.targets), (proj,),
+                             ch.TraceClass.REDUCING)
+    return Transition(pre, post, local, spec.targets, n_qubits, spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,23 +209,22 @@ class QuantumTransitionSystem:
         return True
 
 
-@dataclass(frozen=True, eq=False)
 class Configuration:
     """A location paired with a normalised state; `probability` is the mass
     of the branch that led here.
 
-    `_spectrum` is the state's spectral factor (U, lambda) with lambda
-    descending, as `step` hands it over; when absent it is computed by one
-    `eigh` the first time `spectrum` is read."""
+    A configuration built by hand, such as the root of a graph, holds its
+    dense state, checked for Hermiticity and unit trace; its spectral
+    factor is computed by one `eigh` the first time `spectrum` is read.  A
+    configuration that `step` builds (`from_factor`) holds only the factor
+    (U, lambda), checked at O(d r^2): U orthonormal and lambda summing to
+    1.  Its `state` is rebuilt on every read and never kept."""
 
-    location: str
-    state: np.ndarray
-    probability: float = 1.0
-    _spectrum: tuple = field(default=None, repr=False)
-    _herm_defect: float = field(default=0.0, init=False, repr=False)
+    __slots__ = ("location", "probability", "_state", "_spectrum",
+                 "_herm_defect")
 
-    def __post_init__(self):
-        state = np.array(self.state, dtype=complex)
+    def __init__(self, location: str, state, probability: float = 1.0):
+        state = np.array(state, dtype=complex)
         if state.ndim != 2 or state.shape[0] != state.shape[1]:
             raise DimensionMismatch(f"state shape {state.shape}")
         # kept so that `support` repeats linalg.support's stricter check
@@ -224,24 +232,76 @@ class Configuration:
         defect = float(np.abs(state - state.conj().T).max(initial=0.0))
         if defect > TOL_HERM_STATE:
             raise DimensionMismatch("configuration state is not Hermitian")
-        object.__setattr__(self, "_herm_defect", defect)
         tr = float(np.trace(state).real)
         if abs(tr - 1.0) > TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
-        if not 0.0 < self.probability <= 1.0 + TOL_PROB_EXCESS:
-            raise DimensionMismatch(
-                f"branch probability {self.probability} outside (0, 1]")
         state.setflags(write=False)
-        object.__setattr__(self, "state", state)
+        self._init(location, probability, state, None, defect)
+
+    @classmethod
+    def from_factor(cls, location: str, vecs: np.ndarray, vals: np.ndarray,
+                    probability: float = 1.0) -> "Configuration":
+        """The configuration of state vecs diag(vals) vecs^dagger, for
+        orthonormal columns `vecs` and positive `vals`, descending.  The
+        arrays are kept, not copied, and made read-only."""
+        gram = vecs.conj().T @ vecs
+        if np.abs(gram - np.eye(len(gram))).max(initial=0.0) > TOL_ORTHO:
+            raise DimensionMismatch("configuration factor is not orthonormal")
+        tr = float(vals.sum())
+        if abs(tr - 1.0) > TOL_NORM:
+            raise DimensionMismatch(f"configuration state trace {tr}")
+        vecs.setflags(write=False)
+        vals.setflags(write=False)
+        config = object.__new__(cls)
+        config._init(location, probability, None, (vecs, vals), 0.0)
+        return config
+
+    def _init(self, location, probability, state, spectrum, herm_defect):
+        if not 0.0 < probability <= 1.0 + TOL_PROB_EXCESS:
+            raise DimensionMismatch(
+                f"branch probability {probability} outside (0, 1]")
+        self.location = location
+        self.probability = probability
+        self._state = state
+        self._spectrum = spectrum
+        self._herm_defect = herm_defect
+
+    @property
+    def factored(self) -> bool:
+        """Whether only the spectral factor is held (built by `step`)."""
+        return self._state is None
+
+    @property
+    def state(self) -> np.ndarray:
+        """The dense state: the one held, or U diag(lambda) U^dagger
+        rebuilt and Hermitian-symmetrized in a fresh array."""
+        if self._state is not None:
+            return self._state
+        u, lam = self._spectrum
+        post = (u * lam) @ u.conj().T
+        # the product is Hermitian only up to rounding; the symmetrized
+        # matrix is exactly Hermitian
+        post += post.conj().T
+        post /= 2.0
+        return post
 
     @property
     def spectrum(self) -> tuple:
         """(U, lambda) with state = U diag(lambda) U^dagger, lambda
-        descending; U may have fewer than d columns."""
+        descending and U with as many columns as lambda has entries, at
+        most d.  Eigenvalues at or below _SPECTRUM_FLOOR times the largest,
+        negative ones included, are float noise and left out."""
         if self._spectrum is None:
-            w, v = np.linalg.eigh(self.state)
-            object.__setattr__(self, "_spectrum", (v[:, ::-1], w[::-1]))
+            w, v = np.linalg.eigh(self._state)
+            keep = w > _SPECTRUM_FLOOR * w[-1]
+            self._spectrum = (v[:, keep][:, ::-1], w[keep][::-1])
         return self._spectrum
+
+    @property
+    def factor(self) -> np.ndarray:
+        """L = U sqrt(lambda), so that state = L L^dagger (d x r)."""
+        vecs, vals = self.spectrum
+        return vecs * np.sqrt(vals)
 
     def support(self, rtol: float = TOL_EIG) -> Subspace:
         """The state's support as `linalg.support` defines it, read from
@@ -279,14 +339,12 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
     With L = U sqrt(lambda) the configuration's factor, a branch's
     unnormalised state is S S^dagger for the stack S = [E_1 L, ..., E_K L];
     its probability is |S|_F^2 and one thin SVD of S gives the successor's
-    spectrum, from which its dense state is rebuilt.  Eigenvalues at or
-    below _SPECTRUM_FLOOR times the largest, negative ones included, are
-    dropped as float noise.  Each E_k L contracts only the target axes of
-    L (see `_apply_local`)."""
+    spectral factor, which is all the successor holds.  Eigenvalues at or
+    below _SPECTRUM_FLOOR times the largest are dropped as float noise.
+    Each E_k L contracts only the target axes of L (see `_apply_local`), so
+    a step touches O(K d r 2^t) data and builds no d x d matrix."""
     transitions = sys.outgoing(config.location)
-    vecs, vals = config.spectrum
-    keep = vals > _SPECTRUM_FLOOR * vals[0]
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    factor = config.factor
     results = []
     for t in transitions:
         stack = _apply_local(t, factor)
@@ -295,13 +353,8 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
             u, s, _ = np.linalg.svd(stack, full_matrices=False)
             lam = s * s / p
             keep = lam > _SPECTRUM_FLOOR * lam[0]
-            u, lam = u[:, keep], lam[keep]
-            # the product is Hermitian only up to rounding; fingerprints
-            # and the state validator see the symmetrized matrix
-            post = (u * lam) @ u.conj().T
-            post = (post + post.conj().T) / 2.0
-            succ = Configuration(t.post, post, config.probability * p,
-                                 _spectrum=(u, lam))
+            succ = Configuration.from_factor(t.post, u[:, keep], lam[keep],
+                                             config.probability * p)
             results.append((succ, p))
     return results
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from qmc import channel as ch
+from qmc import checker
 from qmc import linalg as la
 from qmc import logic as lg
 from qmc import qts
@@ -190,6 +191,44 @@ def dense_step(system, config):
             results.append((qts.Configuration(t.post, post,
                                               config.probability * p), p))
     return results
+
+
+def dense_build_graph(system, rho0, bound=checker.DEFAULT_BOUND):
+    """Reference for `checker.build_graph`, deduplicating on dense states by
+    rounded-fingerprint buckets: a successor merges into the first node of
+    its (location, fingerprint) bucket whose dense state is within TOL_FP
+    of its own.  Digests are computed eagerly."""
+    root = qts.Configuration(system.initial, np.asarray(rho0, dtype=complex))
+    nodes = [checker.GraphNode(0, root, checker.fingerprint(root.state), 0)]
+    buckets = {(root.location, nodes[0].digest): [0]}
+    frontier = [0]
+    for _ in range(bound):
+        if not frontier:
+            break
+        next_frontier = []
+        for index in frontier:
+            edges = []
+            for succ, p in qts.step(system, nodes[index].config):
+                state = succ.state
+                key = (succ.location, checker.fingerprint(state))
+                dst = None
+                for cand in buckets.get(key, ()):
+                    diff = np.abs(nodes[cand].config.state - state).max()
+                    if diff <= checker.TOL_FP:
+                        dst = cand
+                        break
+                if dst is None:
+                    dst = len(nodes)
+                    nodes.append(checker.GraphNode(dst, succ, key[1],
+                                                   nodes[index].depth + 1))
+                    buckets.setdefault(key, []).append(dst)
+                    next_frontier.append(dst)
+                edges.append((dst, p))
+            nodes[index].complete = True
+            nodes[index].out = tuple(edges)
+        frontier = next_frontier
+    closure = checker.COMPLETE if not frontier else ("truncated", bound)
+    return checker.ConfigurationGraph(system, tuple(nodes), closure)
 
 
 def random_closing_state(rng, n_qubits):

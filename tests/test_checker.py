@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,9 @@ from qmc import logic as lg
 from qmc import qts
 from qmc.errors import NoTraceAvailable, UnboundAtom
 
-from helpers import (dense_step, random_closing_qts, random_closing_state,
-                     random_density, random_state_formula, random_subspace,
+from helpers import (dense_build_graph, dense_step, random_closing_qts,
+                     random_closing_state, random_density,
+                     random_state_formula, random_subspace,
                      random_unit_vector)
 from oracle import PathOracle
 
@@ -330,6 +332,104 @@ class TestFactoredGraphs:
         assert calls == [(d, d)]
 
 
+def _graph_shape(graph):
+    return [(n.config.location, n.digest, [t for t, _ in n.out])
+            for n in graph.nodes]
+
+
+def _ghz_noisy(n):
+    """H[1]; CX[i, i+1]; bit_flip(0.9) on qubit 1, with the dense |0...0>."""
+    ir = qts.Gate((1,), name="H")
+    for i in range(1, n):
+        ir = qts.Seq(ir, qts.Gate((i, i + 1), name="CX"))
+    ir = qts.Seq(ir, qts.Gate((1,), op=ch.noise_library("bit_flip", 0.9)))
+    rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho0[0, 0] = 1.0
+    return qts.compile_circuit(ir, n), rho0
+
+
+class TestKeyRangeDedup:
+    """`build_graph` finds merge candidates by a key-range query and
+    confirms them on the factors; it must merge what the dense
+    fingerprint-bucket build merges, and also pairs that straddle a
+    rounding boundary."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.qts")),
+                             ids=lambda p: p.stem)
+    def test_matches_bucket_reference_on_fixtures(self, path):
+        system = qts.parse_model(path.read_text())
+        d = 2 ** system.n_qubits
+        rng = np.random.default_rng(sum(path.stem.encode()) + 1)
+        for rho0 in [random_density(rng, d, r) for r in (1, d)] + \
+                [random_closing_state(rng, system.n_qubits)]:
+            graph = checker.build_graph(system, rho0, bound=64)
+            reference = dense_build_graph(system, rho0, bound=64)
+            assert graph.closure == reference.closure
+            assert _graph_shape(graph) == _graph_shape(reference)
+            probs = [p for n in graph.nodes for _, p in n.out]
+            assert probs == [p for n in reference.nodes for _, p in n.out]
+
+    def test_boundary_straddling_pair_merges(self):
+        # l0 prepares diag(a, 1 - a) with a just below the rounding boundary
+        # 0.12345675; each turn of the l1 loop moves a up by 2e-12
+        a = 0.12345675 - 1e-12
+        eps = 2e-12 / (1 - 2 * a)
+        prep = [np.sqrt(a) * np.eye(2), np.sqrt(1 - a) * ch.PAULI_X]
+        drift = [np.sqrt(1 - eps) * np.eye(2), np.sqrt(eps) * ch.PAULI_X]
+        system = qts.QuantumTransitionSystem(1, ("l0", "l1"), "l0", (
+            qts.kraus_edge("l0", "l1", prep, (1,), 1),
+            qts.kraus_edge("l1", "l1", drift, (1,), 1)))
+        reference = dense_build_graph(system, pure(KET0), bound=8)
+        first, second = (n.config.state for n in reference.nodes[1:3])
+        assert np.abs(first - second).max() <= 3e-12
+        assert checker.fingerprint(first) != checker.fingerprint(second)
+        graph = checker.build_graph(system, pure(KET0), bound=8)
+        assert len(reference.nodes) == 3
+        assert len(graph.nodes) == 2
+        assert graph.nodes[1].out == ((1, pytest.approx(1.0)),)
+
+    def test_equal_diagonals_never_merge(self):
+        # |+> and |-> differ only in their coherences
+        system = qts.build_sequential(ch.gate_library("Z"), 1, 0)
+        graph = checker.build_graph(system, pure(PLUS), bound=8)
+        states = [n.config.state for n in graph.nodes]
+        assert len(states) == 2
+        assert np.array_equal(np.diag(states[0]), np.diag(states[1]))
+        assert np.abs(states[1] - pure(MINUS)).max() < 1e-12
+
+
+class TestFactorOnlyNodes:
+    def test_successors_hold_only_their_factor(self, rng):
+        system = qts.teleportation_qts()
+        graph = checker.build_graph(
+            system, qts.teleportation_input(random_unit_vector(rng, 2)))
+        # a held state reads back as the same array; a factor-only node
+        # rebuilds its state on every read
+        assert graph.root.config.state is graph.root.config.state
+        assert all(n.config.state is not n.config.state
+                   for n in graph.nodes[1:])
+        assert all(n._digest is None for n in graph.nodes)
+        node = graph.nodes[-1]
+        assert node.digest == checker.fingerprint(node.config.state)
+
+    def test_build_and_label_allocate_no_dense_state_per_successor(self):
+        # the 12 nodes of GHZ-noisy at n = 10; holding a d x d state per
+        # node, as a dense graph does, would peak above 12 x rho0
+        system, rho0 = _ghz_noisy(10)
+        d = len(rho0)
+        bindings = {"g": la.Subspace(np.eye(d)[:, [0, d - 1]])}
+        tracemalloc.start()
+        try:
+            graph = checker.build_graph(system, rho0)
+            for text in ("[g]", "[~g]", "true"):
+                graph.label_set(lg.parse_formula(text).prop, bindings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graph.nodes) == 12
+        assert peak < 4 * rho0.nbytes
+
+
 class TestDedupSoundness:
     def test_dedup_never_changes_decided_verdicts(self, rng):
         for _ in range(8):
@@ -400,6 +500,25 @@ class TestTraces:
         assert v.result == "fails"
         assert v.trace is not None
         assert v.trace[0].location == v.trace[-1].location
+
+    def test_lasso_starts_at_the_root(self):
+        # l0 -> l1 -> l2 -> l2: the counterexample to A (true U [one]) from
+        # |0> is the whole chain, then the self-loop
+        edges = [qts.gate_edge(a, b, "I", (1,), 1)
+                 for a, b in (("l0", "l1"), ("l1", "l2"), ("l2", "l2"))]
+        system = qts.QuantumTransitionSystem(1, ("l0", "l1", "l2"), "l0",
+                                             tuple(edges))
+        graph = checker.build_graph(system, pure(KET0))
+        v = checker.check(system, pure(KET0),
+                          lg.parse_formula("A (true U [one])"), BINDINGS_1Q,
+                          graph=graph)
+        assert v.result == "fails"
+        index = {(n.config.location, n.digest): n.index for n in graph.nodes}
+        path = [index[s.location, s.state_digest] for s in v.trace]
+        assert path == [0, 1, 2, 2]
+        assert v.trace[0].state_digest == graph.root.digest
+        for u, w in zip(path, path[1:]):
+            assert w in [dst for dst, _ in graph.nodes[u].out]
 
     def test_lasso_on_a_cycle_longer_than_the_recursion_limit(self):
         n = 5000

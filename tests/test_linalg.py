@@ -125,6 +125,38 @@ class TestOrthocomplement:
         assert lhs.same_space(rhs)
 
 
+class TestCoBasis:
+    """An orthocomplement is held as a co-basis: it answers `dim` and
+    membership from the basis it complements and builds its own basis only
+    when `basis` is read."""
+
+    def test_membership_matches_the_built_basis(self, rng, monkeypatch):
+        cases = []
+        for _ in range(25):
+            d = int(rng.integers(2, 12))
+            x = random_subspace(rng, d, int(rng.integers(0, d + 1)))
+            u = random_unit_vector(rng, d)
+            inside = u - la.projector(x) @ u
+            cases.append((x, [u, inside, np.zeros(d)]))
+        got = []
+        with monkeypatch.context() as m:
+            m.setattr(la, "_complement_basis", None)
+            for x, vecs in cases:
+                comp = la.orthocomplement(x)
+                got.append((comp.dim, [comp.contains(v) for v in vecs]))
+        for (x, vecs), (dim, member) in zip(cases, got):
+            built = la.Subspace(la.orthocomplement(x).basis)
+            assert dim == built.dim == x.ambient_dim - x.dim
+            assert member == [built.contains(v) for v in vecs]
+
+    def test_meet_of_cobases_builds_no_basis(self, rng, monkeypatch):
+        x, y = random_subspace(rng, 8, 2), random_subspace(rng, 8, 3)
+        monkeypatch.setattr(la, "_complement_basis", None)
+        meet = la.intersect(la.orthocomplement(x), la.orthocomplement(y))
+        assert la.orthocomplement(meet).same_space(la.join([x, y]))
+        assert la.Subspace.full(8).contains(random_unit_vector(rng, 8))
+
+
 class TestIntersect:
     def test_idempotent(self, rng):
         x = random_subspace(rng, 6, 3)

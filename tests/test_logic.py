@@ -47,6 +47,14 @@ class TestEvalProp:
         with pytest.raises(DimensionMismatch):
             lg.eval_prop(lg.AndQ(lg.Atom("a"), lg.Atom("b")), b)
 
+    def test_complement_and_true_denote_cobases(self, monkeypatch):
+        monkeypatch.setattr(la, "_complement_basis", None)
+        b = {"z": span(KET0)}
+        out = lg.eval_prop(lg.NotQ(lg.Atom("z")), b)
+        assert out.dim == 1 and out.contains(KET1) and not out.contains(PLUS)
+        out = lg.eval_prop(lg.PTrue(), b, ambient_dim=2)
+        assert out.dim == 2 and out.contains(PLUS)
+
     def test_join_law_on_random_pairs(self, rng):
         # the denotation of a disjunction is the lattice join
         for _ in range(50):

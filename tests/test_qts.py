@@ -365,6 +365,18 @@ class TestOneCheckPerRule:
         with pytest.raises(QmcError):
             qts.measure_edge("a", "b", (1,), 2, 1)
 
+    def test_measure_edge_builds_only_its_projector(self):
+        # the whole 7-qubit measurement holds 128 operators of 128 x 128
+        tracemalloc.start()
+        try:
+            edge = qts.measure_edge("a", "b", tuple(range(1, 8)), 5, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        (proj,) = edge.local.kraus
+        assert np.count_nonzero(proj) == 1 and proj[5, 5] == 1.0
+
     def test_measure_targets_checked_before_the_measurement_is_built(self):
         # the measurement of k targets holds 2^k operators of 2^k x 2^k
         targets = ", ".join(["1"] * 40)
@@ -498,6 +510,33 @@ class TestModelFormat:
 
 
 class TestConfiguration:
+    def test_factor_checks(self, rng):
+        vecs = np.linalg.qr(rng.normal(size=(4, 2)))[0].astype(complex)
+        config = qts.Configuration.from_factor("l0", vecs,
+                                               np.array([0.75, 0.25]), 0.5)
+        assert config.probability == 0.5
+        assert config.state is not config.state  # rebuilt, never held
+        with pytest.raises(DimensionMismatch):
+            qts.Configuration.from_factor("l0", 2 * vecs,
+                                          np.array([0.75, 0.25]))
+        with pytest.raises(DimensionMismatch):
+            qts.Configuration.from_factor("l0", vecs, np.array([0.75, 0.5]))
+        with pytest.raises(DimensionMismatch):
+            qts.Configuration.from_factor("l0", vecs, np.array([0.75, 0.25]),
+                                          probability=1.5)
+
+    def test_state_is_rebuilt_on_every_read(self, rng):
+        rho = random_density(rng, 8, 3)
+        (succ, _), = qts.step(qts.build_sequential(
+            ch.SuperOperator.identity(3), 3, 0), qts.Configuration("l0", rho))
+        u, lam = succ.spectrum
+        want = (u * lam) @ u.conj().T
+        want = (want + want.conj().T) / 2.0
+        first = succ.state
+        assert first is not succ.state
+        assert np.array_equal(first, want)
+        assert np.abs(first - rho).max() < 1e-12
+
     def test_rejects_unnormalised(self):
         with pytest.raises(DimensionMismatch):
             qts.Configuration("l0", np.eye(2))
