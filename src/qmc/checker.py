@@ -7,8 +7,9 @@ node but the root holds only its state's spectral factor.  Two states at
 one location share a node when no entry differs by more than TOL_FP,
 found by a range query on a scalar key and confirmed on the factors (see
 `build_graph`).  A node's rounded `fingerprint` is computed only when a
-trace shows it.  Exploration is breadth-first up to a bound; if unexpanded
-nodes remain the graph is truncated and verdicts become three-valued.
+trace shows it, in one pass over blocks of rows of the state.
+Exploration is breadth-first up to a bound; if unexpanded nodes remain
+the graph is truncated and verdicts become three-valued.
 
 Checking labels every node with the state subformulas using the standard
 EX / EU / EG fixpoints, run twice on truncated graphs (a certain lower
@@ -37,30 +38,42 @@ from .linalg import TOL_FP
 FP_DECIMALS = 7     # fingerprint rounding, decimal places
 DEFAULT_BOUND = 64  # exploration depth when none is given
 _PROBE_SEED = 0     # seed of the dedup key's random vector
-_BLOCK = 1 << 16    # entries per block of rows in the dedup comparison
 
 COMPLETE = "complete"
 
 
-def fingerprint(state: np.ndarray) -> str:
-    """Hex digest of the Hermitian-symmetrized state rounded to
-    FP_DECIMALS; it names a state in traces and reports."""
-    return _rounded_digest((state + state.conj().T) / 2.0)
+def fingerprint(product: np.ndarray) -> str:
+    """Hex digest of (P + P^dagger)/2 rounded to FP_DECIMALS, -0.0 folded
+    into +0.0; it names a state in traces and reports.  P is a complex
+    square matrix: a state, or the unsymmetrized product of a factor
+    (`Configuration.product`), which digests as its symmetrization does.
 
-
-def _rounded_digest(sym: np.ndarray) -> str:
-    """`fingerprint` of an exactly Hermitian matrix, which symmetrizing
-    would not change by a bit; rounds `sym` in place."""
-    np.round(sym, FP_DECIMALS, out=sym)
-    sym += 0.0  # fold -0.0 into +0.0
-    return hashlib.blake2b(sym.tobytes(), digest_size=16).hexdigest()
+    One streamed pass: each block of rows of the rounded matrix is built
+    in one fresh tile and fed to the hash, so no d x d temporary is made.
+    The tile is rounded through its float view as rint(x * 10^7 / 2) /
+    10^7, which is bit-identical to halving (exact) and then np.round."""
+    scale = 10.0 ** FP_DECIMALS
+    digest = hashlib.blake2b(digest_size=16)
+    for rows in la.row_blocks(*product.shape):
+        block = product[rows]
+        tile = np.conjugate(product[:, rows].T,
+                            out=np.empty(block.shape, dtype=complex))
+        tile += block
+        flat = tile.view(float)
+        flat *= 0.5 * scale
+        np.rint(flat, out=flat)
+        flat /= scale
+        flat += 0.0  # fold -0.0 into +0.0
+        digest.update(tile)
+    return digest.hexdigest()
 
 
 @dataclass(eq=False)
 class GraphNode:
     """A configuration of the graph.  `digest` is `fingerprint` of its
-    state, computed on first read (only nodes on a trace need it) from a
-    transient rebuild of the state; `_digest` holds it once known."""
+    state, computed on first read (only nodes on a trace need it) from
+    `config.product`, a transient rebuild for a factor-only node;
+    `_digest` holds it once known."""
 
     index: int
     config: q.Configuration
@@ -72,14 +85,7 @@ class GraphNode:
     @property
     def digest(self) -> str:
         if self._digest is None:
-            config = self.config
-            if config.factored:
-                # a fresh rebuild is exactly Hermitian, so the digest can
-                # skip fingerprint's d x d symmetrization, a quarter of
-                # ghz-noisy's check_s (BENCH_factored.json, digest_path)
-                self._digest = _rounded_digest(config.state)
-            else:
-                self._digest = fingerprint(config.state)
+            self._digest = fingerprint(self.config.product)
         return self._digest
 
 
@@ -136,10 +142,9 @@ def _within_tol(a: np.ndarray, b: np.ndarray) -> bool:
     """max |A A^dagger - B B^dagger| <= TOL_FP, computed a block of rows
     at a time so no d x d matrix is built."""
     ah, bh = a.conj().T, b.conj().T
-    rows = max(1, _BLOCK // len(a))
-    for i in range(0, len(a), rows):
-        diff = a[i:i + rows] @ ah
-        diff -= b[i:i + rows] @ bh
+    for rows in la.row_blocks(len(a), len(a)):
+        diff = a[rows] @ ah
+        diff -= b[rows] @ bh
         if np.abs(diff).max() > TOL_FP:
             return False
     return True

@@ -40,6 +40,18 @@ TOL_PROB = 1e-12    # branches below this probability are dropped
 TOL_PROB_EXCESS = 1e-12  # rounding a branch probability may carry above 1
 TOL_FP = 1e-7       # states closer than this share a graph node
 
+BLOCK = 1 << 16     # entries per block of rows in a streamed matrix pass
+
+
+def row_blocks(n_rows: int, row_len: int):
+    """Slices of consecutive rows, about BLOCK entries (and at least one
+    row) each, that cover range(n_rows).  Every pass that reads or builds
+    a d x d matrix a block of rows at a time uses this rule, so none of
+    them allocates a d x d temporary."""
+    rows = max(1, BLOCK // max(1, row_len))
+    for i in range(0, n_rows, rows):
+        yield slice(i, i + rows)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)

@@ -14,10 +14,11 @@ and the tests; nothing on the parse -> build -> check path builds it.
 A configuration carries its state's spectral factor (U, lambda), state =
 U diag(lambda) U^dagger.  Stepping maps the factor through the Kraus
 operators and one thin SVD, so only a configuration built by hand (such as
-the root of a graph) ever needs an eigendecomposition, and the checker
-reads every node's support straight from the factor.  A configuration
-that `step` builds holds nothing but the factor, O(d r) numbers for a
-rank-r state: its dense state is rebuilt only when it is read.
+the root of a graph) ever needs an eigendecomposition, of the rows and
+columns its state occupies, and the checker reads every node's support
+straight from the factor.  A configuration that `step` builds holds
+nothing but the factor, O(d r) numbers for a rank-r state: its dense
+state is rebuilt only when it is read.
 
 The edge constructors `gate_edge`, `kraus_edge` and `measure_edge` are
 the one place a transition is validated: `channel.check_targets` checks
@@ -43,7 +44,8 @@ from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                      MalformedCircuit, NormalisationViolation, ParseError,
                      QmcError, UnknownLocation)
 from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM,
-                     TOL_ORTHO, TOL_PROB_EXCESS, Subspace, spectral_support)
+                     TOL_ORTHO, TOL_PROB_EXCESS, Subspace, row_blocks,
+                     spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_matrix, tokenize)
 
@@ -214,11 +216,13 @@ class Configuration:
     of the branch that led here.
 
     A configuration built by hand, such as the root of a graph, holds its
-    dense state, checked for Hermiticity and unit trace; its spectral
-    factor is computed by one `eigh` the first time `spectrum` is read.  A
+    dense state, checked for Hermiticity (a block of rows at a time) and
+    unit trace; its spectral factor is computed the first time `spectrum`
+    is read, by one `eigh` of the rows and columns the state occupies.  A
     configuration that `step` builds (`from_factor`) holds only the factor
     (U, lambda), checked at O(d r^2): U orthonormal and lambda summing to
-    1.  Its `state` is rebuilt on every read and never kept."""
+    1.  Its `product` and `state` are rebuilt on every read and never
+    kept."""
 
     __slots__ = ("location", "probability", "_state", "_spectrum",
                  "_herm_defect")
@@ -229,7 +233,11 @@ class Configuration:
             raise DimensionMismatch(f"state shape {state.shape}")
         # kept so that `support` repeats linalg.support's stricter check
         # without another pass over the matrix
-        defect = float(np.abs(state - state.conj().T).max(initial=0.0))
+        defect = 0.0
+        for rows in row_blocks(*state.shape):
+            diff = np.conjugate(state[:, rows].T)
+            diff -= state[rows]
+            defect = max(defect, float(np.abs(diff).max(initial=0.0)))
         if defect > TOL_HERM_STATE:
             raise DimensionMismatch("configuration state is not Hermitian")
         tr = float(np.trace(state).real)
@@ -267,20 +275,22 @@ class Configuration:
         self._herm_defect = herm_defect
 
     @property
-    def factored(self) -> bool:
-        """Whether only the spectral factor is held (built by `step`)."""
-        return self._state is None
-
-    @property
-    def state(self) -> np.ndarray:
-        """The dense state: the one held, or U diag(lambda) U^dagger
-        rebuilt and Hermitian-symmetrized in a fresh array."""
+    def product(self) -> np.ndarray:
+        """The held state, or U diag(lambda) U^dagger rebuilt in a fresh
+        array.  The rebuilt product is Hermitian only up to rounding;
+        `checker.fingerprint` symmetrizes as it reads, so digests use it."""
         if self._state is not None:
             return self._state
         u, lam = self._spectrum
-        post = (u * lam) @ u.conj().T
-        # the product is Hermitian only up to rounding; the symmetrized
-        # matrix is exactly Hermitian
+        return (u * lam) @ u.conj().T
+
+    @property
+    def state(self) -> np.ndarray:
+        """The dense state: the one held, or `product` Hermitian-symmetrized
+        in place, which makes it exactly Hermitian."""
+        if self._state is not None:
+            return self._state
+        post = self.product
         post += post.conj().T
         post /= 2.0
         return post
@@ -290,11 +300,30 @@ class Configuration:
         """(U, lambda) with state = U diag(lambda) U^dagger, lambda
         descending and U with as many columns as lambda has entries, at
         most d.  Eigenvalues at or below _SPECTRUM_FLOOR times the largest,
-        negative ones included, are float noise and left out."""
+        negative ones included, are float noise and left out.
+
+        A held state is decomposed on its live indices, those whose row or
+        column has a nonzero entry: the others span a zero block, which
+        holds no kept eigenvalue.  So |0...0><0...0| costs a 1 x 1 `eigh`,
+        and a state with every index live is decomposed as it is held."""
         if self._spectrum is None:
-            w, v = np.linalg.eigh(self._state)
+            state = self._state
+            d = len(state)
+            live = np.zeros(d, dtype=bool)
+            for rows in row_blocks(d, d):
+                nonzero = state[rows] != 0
+                live[rows] |= nonzero.any(axis=1)
+                live |= nonzero.any(axis=0)
+            idx = np.flatnonzero(live)
+            w, v = np.linalg.eigh(
+                state if len(idx) == d else state[np.ix_(idx, idx)])
             keep = w > _SPECTRUM_FLOOR * w[-1]
-            self._spectrum = (v[:, keep][:, ::-1], w[keep][::-1])
+            vecs = v[:, keep][:, ::-1]
+            if len(idx) < d:
+                scattered = np.zeros((d, vecs.shape[1]), dtype=complex)
+                scattered[idx] = vecs
+                vecs = scattered
+            self._spectrum = (vecs, w[keep][::-1])
         return self._spectrum
 
     @property

@@ -1,5 +1,7 @@
 """Shared random generators and small numeric oracles for the test suite."""
 
+import hashlib
+
 import numpy as np
 
 from qmc import channel as ch
@@ -177,6 +179,14 @@ def random_circuit(rng, n_qubits, depth):
         0: random_circuit(rng, n_qubits, depth - 1),
         1: random_circuit(rng, n_qubits, depth - 1),
     })
+
+
+def reference_fingerprint(state):
+    """`checker.fingerprint` by its whole-matrix definition: blake2b of
+    (state + state^dagger)/2 rounded to FP_DECIMALS, -0.0 folded."""
+    sym = np.round((state + state.conj().T) / 2.0, checker.FP_DECIMALS)
+    sym += 0.0
+    return hashlib.blake2b(sym.tobytes(), digest_size=16).hexdigest()
 
 
 def dense_step(system, config):

@@ -15,7 +15,7 @@ from qmc.errors import NoTraceAvailable, UnboundAtom
 from helpers import (dense_build_graph, dense_step, random_closing_qts,
                      random_closing_state, random_density,
                      random_state_formula, random_subspace,
-                     random_unit_vector)
+                     random_unit_vector, reference_fingerprint)
 from oracle import PathOracle
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -329,7 +329,8 @@ class TestFactoredGraphs:
         for prop in props:
             graph.label_set(prop, bindings)
         assert len(graph.nodes) == n + 2
-        assert calls == [(d, d)]
+        # one decomposition, of the one entry |0...0><0...0| occupies
+        assert calls == [(1, 1)]
 
 
 def _graph_shape(graph):
@@ -588,3 +589,58 @@ def test_fingerprint_folds_negative_zero():
 
 def test_fingerprint_distinguishes_states():
     assert checker.fingerprint(pure(KET0)) != checker.fingerprint(pure(PLUS))
+
+
+class TestStreamedDigest:
+    """`fingerprint` digests a block of rows at a time; every digest must
+    equal the whole-matrix definition bit for bit."""
+
+    def test_random_states_match_the_whole_matrix_digest(self, rng):
+        for n in range(1, 11):
+            d = 2 ** n
+            for rank in range(1, min(3, d) + 1):
+                g = rng.normal(size=(d, rank)) \
+                    + 1j * rng.normal(size=(d, rank))
+                lam = np.sort(rng.random(rank))[::-1]
+                config = qts.Configuration.from_factor(
+                    "l0", np.linalg.qr(g)[0], lam / lam.sum())
+                state = config.state
+                want = reference_fingerprint(state)
+                assert checker.fingerprint(config.product) == want
+                assert reference_fingerprint(config.product) == want
+                assert checker.fingerprint(state) == want
+
+    def test_held_dense_state_matches(self, rng):
+        config = qts.Configuration("l0", random_density(rng, 64))
+        assert config.product is config.state
+        assert checker.fingerprint(config.product) == \
+            reference_fingerprint(config.state)
+
+    @pytest.mark.parametrize("d", [2, 8, 300])
+    def test_negative_zeros_and_half_points_match(self, rng, d):
+        # (P + P^dagger)/2 lands on 7-decimal half points, or on -0.0 when
+        # both of its terms are -0.0; d = 300 spans two uneven row blocks
+        halves = np.concatenate([(np.arange(-40, 40) + 0.5) * 1e-7,
+                                 0.5 + (np.arange(-5, 5) + 0.5) * 1e-7,
+                                 [-0.0, -0.0, 0.0]])
+        parts = 2.0 * rng.choice(halves, size=(2, d, d))
+        p = parts[0] + 1j * parts[1]
+        assert checker.fingerprint(p) == reference_fingerprint(p)
+        zeros = np.full((d, d), -0.0 - 0.0j)
+        zeros.real[0, 0] = 1.0
+        assert checker.fingerprint(zeros) == reference_fingerprint(zeros)
+        assert checker.fingerprint(zeros) == \
+            checker.fingerprint(np.abs(zeros).astype(complex))
+
+    def test_digest_builds_no_dense_temporary(self):
+        d = 1024
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        tracemalloc.start()
+        try:
+            checker.fingerprint(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at most two 1 MiB tiles, the last one and the next, are alive
+        assert peak < rho.nbytes / 4

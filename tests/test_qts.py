@@ -26,6 +26,20 @@ def pure(v):
     return np.outer(v, v.conj())
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The arrays passed to np.linalg.eigh during the test, in order."""
+    eigh = np.linalg.eigh
+    calls = []
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return calls
+
+
 def run_to_depth(system, rho0, depth):
     frontier = [qts.Configuration(system.initial, rho0)]
     for _ in range(depth):
@@ -232,6 +246,50 @@ class TestFactoredStep:
         assert np.all(np.diff(vals) <= 0.0)
         assert np.abs((vecs * vals) @ vecs.conj().T - rho).max() < 1e-12
         assert config.support().dim == 2
+
+    @pytest.mark.parametrize("d", [4, 16, 64, 256])
+    def test_root_eigh_runs_on_live_indices(self, rng, d, eigh_calls):
+        # states supported on random index subsets: the compressed eigh
+        # must agree with a full one, and decompose only the live block
+        for _ in range(6):
+            k = int(rng.integers(1, d))
+            idx = np.sort(rng.choice(d, size=k, replace=False))
+            # rank 1-3, or full rank on the subset with eigenvalues of at
+            # least 1/(2k), so both decompositions are well conditioned
+            rank = min(k, int(rng.integers(1, 4)))
+            sub = random_density(rng, k, rank)
+            if rng.random() < 0.3:
+                sub = (sub + np.eye(k) / k) / 2.0
+                rank = k
+            rho = np.zeros((d, d), dtype=complex)
+            rho[np.ix_(idx, idx)] = sub
+            eigh_calls.clear()
+            config = qts.Configuration("l0", rho)
+            vecs, vals = config.spectrum
+            assert [a.shape for a in eigh_calls] == [(k, k)]
+            w, v = np.linalg.eigh(rho)
+            assert config.support().dim == la.support(rho).dim == rank
+            got = np.zeros(d)
+            got[:len(vals)] = vals
+            assert np.abs(got - w[::-1]).max() <= 1e-14
+            top = v[:, ::-1][:, :rank]
+            assert np.abs(vecs[:, :rank] @ vecs[:, :rank].conj().T
+                          - top @ top.conj().T).max() <= 1e-12
+            assert not vecs[np.setdiff1d(np.arange(d), idx)].any()
+        # index 2 has a zero row but a nonzero column entry, within the
+        # Hermiticity tolerance: it is live
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0], rho[0, 2] = 1.0, 1e-7
+        eigh_calls.clear()
+        qts.Configuration("l0", rho).spectrum
+        assert [a.shape for a in eigh_calls] == [(2, 2)]
+
+    def test_fully_live_root_is_decomposed_as_held(self, rng, eigh_calls):
+        config = qts.Configuration("l0", random_density(rng, 32, 2))
+        config.spectrum
+        assert len(eigh_calls) == 1
+        assert eigh_calls[0].shape == (32, 32)
+        assert eigh_calls[0] is config.state
 
     def test_support_keeps_hermiticity_check(self):
         # within the configuration's tolerance, outside the support's
@@ -535,11 +593,38 @@ class TestConfiguration:
         first = succ.state
         assert first is not succ.state
         assert np.array_equal(first, want)
+        assert np.array_equal(succ.product, (u * lam) @ u.conj().T)
         assert np.abs(first - rho).max() < 1e-12
 
     def test_rejects_unnormalised(self):
         with pytest.raises(DimensionMismatch):
             qts.Configuration("l0", np.eye(2))
+
+    def test_hermiticity_check_reads_every_row_block(self):
+        # d = 512 is four blocks of rows; the defect sits in the third
+        d = 512
+        for defect, raises in ((2e-9, InvalidDensityMatrix),
+                               (2e-6, DimensionMismatch)):
+            rho = np.zeros((d, d), dtype=complex)
+            rho[0, 0] = 1.0
+            rho[300, 7] = defect
+            with pytest.raises(raises):
+                qts.Configuration("l0", rho).support()
+
+    def test_construction_peaks_under_one_and_a_half_states(self):
+        # a 10-qubit |0...0><0...0| root: the kept copy, plus one block of
+        # rows at a time for the Hermiticity check
+        d = 2 ** 10
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[0, 0] = 1.0
+        tracemalloc.start()
+        try:
+            config = qts.Configuration("l0", rho0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert config.state.shape == (d, d)
+        assert peak < 1.5 * rho0.nbytes
 
     def test_rejects_bad_probability(self):
         with pytest.raises(DimensionMismatch):
