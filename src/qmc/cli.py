@@ -72,7 +72,9 @@ def _load_model(cfg: RunConfig) -> qts.QuantumTransitionSystem:
 
 def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
     """Initial state: a ket expression, or a file holding a density-matrix
-    literal in the model format's complex syntax."""
+    literal in the model format's complex syntax that is Hermitian,
+    positive semidefinite and of unit trace.  The state is returned
+    read-only, so a `qts.Configuration` can hold it without a copy."""
     spec = cfg.init
     d = 2 ** n_qubits
     if "|" in spec and ">" in spec:
@@ -84,7 +86,9 @@ def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
         if norm <= 0.0:
             raise QmcError("initial ket is the zero vector")
         vec = vec / norm
-        return np.outer(vec, vec.conj())
+        rho = np.outer(vec, vec.conj())
+        rho.setflags(write=False)
+        return rho
     if not os.path.exists(spec):
         raise QmcError(f"initial state file {spec!r} does not exist")
     with open(spec, encoding="utf-8") as fh:
@@ -98,7 +102,11 @@ def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > la.TOL_HERM_STATE or tr <= 0.0:
         raise QmcError(f"density matrix trace is {tr}, expected 1")
-    return (rho + rho.conj().T) / (2.0 * tr)
+    rho = (rho + rho.conj().T) / (2.0 * tr)
+    if np.linalg.eigvalsh(rho).min() < -la.TOL_HERM_STATE:
+        raise QmcError("density matrix is not positive semidefinite")
+    rho.setflags(write=False)
+    return rho
 
 
 def _json_dump(obj) -> str:

@@ -216,7 +216,8 @@ class Configuration:
     of the branch that led here.
 
     A configuration built by hand, such as the root of a graph, holds its
-    dense state, checked for Hermiticity (a block of rows at a time) and
+    dense state (a read-only complex array as it is, anything else as a
+    read-only copy), checked for Hermiticity (a block of rows at a time) and
     unit trace; its spectral factor is computed the first time `spectrum`
     is read, by one `eigh` of the rows and columns the state occupies.  A
     configuration that `step` builds (`from_factor`) holds only the factor
@@ -228,7 +229,9 @@ class Configuration:
                  "_herm_defect")
 
     def __init__(self, location: str, state, probability: float = 1.0):
-        state = np.array(state, dtype=complex)
+        if not (isinstance(state, np.ndarray) and state.dtype == complex
+                and not state.flags.writeable):
+            state = np.array(state, dtype=complex)
         if state.ndim != 2 or state.shape[0] != state.shape[1]:
             raise DimensionMismatch(f"state shape {state.shape}")
         # kept so that `support` repeats linalg.support's stricter check

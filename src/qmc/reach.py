@@ -5,8 +5,10 @@ under iterated channel application:
 
 * the closed form: support of the sum of the first d channel powers,
 * the vectorized route: accumulate powers of the channel's matrix
-  representation applied to vec(rho), one dense matrix-vector product per
-  step, and read the answer off a Schmidt decomposition,
+  representation sum_k E_k (x) conj(E_k) applied to vec(rho), contracted
+  leg by leg (E_k on the row leg, conj(E_k) on the column leg) without
+  forming that 4^n x 4^n matrix, and read the answer off a Schmidt
+  decomposition,
 * a fixed-point iteration joining images until the dimension stabilises.
 
 They must agree as subspaces; the test suite cross-checks all three.
@@ -88,19 +90,22 @@ def reachable_subspace_vectorized(c: QuantumMarkovChain, rho: np.ndarray,
                                   rtol: float = la.TOL_EIG) -> la.Subspace:
     """Vectorized route: Phi = sum_{i<d} M^i vec(rho) lives on a doubled
     space; the left Schmidt vectors with non-negligible coefficient span the
-    reachable subspace."""
+    reachable subspace.
+
+    M = sum_k E_k (x) conj(E_k) is never formed.  Phi is kept as its d x d
+    legs (row-major vec), and M acts on it by contraction: E_k on the row
+    leg and conj(E_k) on the column leg, so one step is
+    sum_k E_k X E_k^dagger at O(K d^3) time and O(d^2) memory."""
     rho = _check_state(c, rho)
     d = c.dim
-    m = ch.matrix_rep(c.channel)
-    # vec(rho) = (rho (x) I)|Psi> under the package vectorization convention
-    phi_step = rho.reshape(-1).astype(complex)
-    acc = phi_step.copy()
+    phi_step = rho
+    acc = rho.copy()
     for _ in range(d - 1):
-        phi_step = m @ phi_step
-        acc = acc + phi_step
+        phi_step = ch.apply(c.channel, phi_step)
+        acc += phi_step
         scale = np.linalg.norm(acc)
-        acc = acc / scale
-        phi_step = phi_step / scale
+        acc /= scale
+        phi_step /= scale
     terms = la.schmidt(acc, d, rtol)
     if not terms:
         return la.Subspace.zero(d)

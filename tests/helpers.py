@@ -62,6 +62,48 @@ def block_unitary_channel(rng, n_qubits, block):
     return ch.SuperOperator.unitary(u)
 
 
+def permutation_mixture_channel(rng, n_qubits, block=None):
+    """The 2-Kraus channel {sqrt(p) P_s, sqrt(1-p) P_t} for basis
+    permutations s and t, as the reach-verify benchmark draws it.  With
+    `block` (a sorted index array holding 0) s is one cycle through the
+    block and both permutations keep it and its complement invariant, so
+    the space reachable from |0...0> is span{|b> : b in block}."""
+    d = 2 ** n_qubits
+    if block is None:
+        s, t = rng.permutation(d), rng.permutation(d)
+    else:
+        s, t = np.arange(d), np.arange(d)
+        rest = np.setdiff1d(np.arange(d), block)
+        cycle = rng.permutation(block)
+        s[cycle] = np.roll(cycle, 1)
+        t[block] = rng.permutation(block)
+        s[rest] = rng.permutation(rest)
+        t[rest] = rng.permutation(rest)
+    p = float(rng.uniform(0.3, 0.7))
+    return ch.SuperOperator.from_kraus(
+        [np.sqrt(q) * np.eye(d)[perm].T for q, perm in ((p, s), (1.0 - p, t))])
+
+
+def reference_vectorized_reach(chain, rho, rtol=la.TOL_EIG):
+    """`reach.reachable_subspace_vectorized` on the materialised 4^n x 4^n
+    matrix `channel.matrix_rep`: d - 1 dense matrix-vector products on
+    vec(rho), renormalised by the Euclidean norm, read off by `la.schmidt`."""
+    d = chain.dim
+    m = ch.matrix_rep(chain.channel)
+    phi_step = np.asarray(rho, dtype=complex).reshape(-1).copy()
+    acc = phi_step.copy()
+    for _ in range(d - 1):
+        phi_step = m @ phi_step
+        acc = acc + phi_step
+        scale = np.linalg.norm(acc)
+        acc = acc / scale
+        phi_step = phi_step / scale
+    terms = la.schmidt(acc, d, rtol)
+    if not terms:
+        return la.Subspace.zero(d)
+    return la.Subspace(np.column_stack([left for _, left, _ in terms]))
+
+
 def trace_distance(a, b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 

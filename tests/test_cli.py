@@ -3,11 +3,13 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmc import cli
+from qmc import channel as ch
+from qmc import cli, qts
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -134,6 +136,31 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert "l0" in err
 
+    def test_holds_one_copy_of_the_initial_state(self, capsys, tmp_path):
+        # GHZ-noisy on 10 qubits from |0...0>: rho0 is 16 MiB, and the
+        # root configuration holds the read-only rho0 the CLI loaded
+        n = 10
+        ir = qts.Gate((1,), name="H")
+        for q in range(1, n):
+            ir = qts.Seq(ir, qts.Gate((q, q + 1), name="CX"))
+        ir = qts.Seq(ir, qts.Gate((1,), op=ch.noise_library("bit_flip", 0.9)))
+        model = tmp_path / "ghz10.qts"
+        model.write_text(qts.serialize_model(qts.compile_circuit(ir, n)))
+        spec = tmp_path / "ghz10.ctql"
+        spec.write_text(f'let g = span {{ "|{"0" * n}>", "|{"1" * n}>" }}\n'
+                        'assert "reaches_ghz" : A (true U [g])\n'
+                        'assert "reaches_outside" : A (true U [~g])\n')
+        tracemalloc.start()
+        try:
+            code = cli.main(["check", "--model", str(model),
+                             "--assert", str(spec), "--init", f"|{'0' * n}>"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_FAILS
+        assert "reaches_ghz: holds" in capsys.readouterr().out
+        assert peak < 2.5 * 16 * 4 ** n
+
     def test_timings_flag_adds_numbers(self, capsys):
         _, out, _ = run_cli(
             capsys, "check", "--model", str(FIXTURES / "xloop.qts"),
@@ -169,6 +196,27 @@ class TestReach:
         assert v["agree"] is True
         assert v["max_residual"] < 1e-7
         assert len(set(v["dims"].values())) == 1
+
+    def test_verify_at_seven_qubits(self, capsys, tmp_path):
+        # a cycle through local states 0..4 of qubits 1-3, mixed with the
+        # identity: from |0...0> exactly five basis states are reachable.
+        # The matrix representation of this channel would be 4 GiB.
+        n = 7
+        cycle = np.eye(8)[[4, 0, 1, 2, 3, 5, 6, 7]]
+        kraus = (math.sqrt(0.5) * cycle, math.sqrt(0.5) * np.eye(8))
+        loop = qts.kraus_edge("l0", "l0", kraus, (1, 2, 3), n)
+        model = tmp_path / "cycle7.qts"
+        model.write_text(qts.serialize_model(
+            qts.QuantumTransitionSystem(n, ("l0",), "l0", (loop,))))
+        code, out, err = run_cli(
+            capsys, "reach", "--model", str(model), "--init", f"|{'0' * n}>",
+            "--verify", "--format", "json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["dim"] == 5
+        assert report["verify"]["agree"] is True
+        assert report["verify"]["dims"] == {"power_sum": 5, "vectorized": 5,
+                                            "fixpoint": 5}
 
     def test_multi_location_model_rejected(self, capsys):
         code, _, err = run_cli(
@@ -246,6 +294,21 @@ class TestInitStates:
             "--init", str(rho), "--format", "json")
         assert code == 0
         assert json.loads(out)["dim"] == 2
+
+    @pytest.mark.parametrize("command", ["check", "reach", "simulate"])
+    def test_non_psd_density_matrix_rejected(self, capsys, tmp_path,
+                                             command):
+        # Hermitian with unit trace, but an eigenvalue of -0.5
+        rho = tmp_path / "negative.dm"
+        rho.write_text("[[1.5, 0], [0, -0.5]]\n")
+        args = ["--model", str(FIXTURES / "xloop.qts"), "--init", str(rho)]
+        if command == "check":
+            args += ["--assert", str(FIXTURES / "xloop.ctql")]
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == ("qmc: error: density matrix is not positive "
+                       "semidefinite\n")
 
     def test_wrong_dimension_rejected(self, capsys):
         code, _, err = run_cli(

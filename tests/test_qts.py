@@ -626,6 +626,17 @@ class TestConfiguration:
         assert config.state.shape == (d, d)
         assert peak < 1.5 * rho0.nbytes
 
+    def test_holds_a_read_only_complex_state_without_copying(self, rng):
+        rho = random_density(rng, 4)
+        rho.setflags(write=False)
+        assert qts.Configuration("l0", rho).state is rho
+        # writable or non-complex input is copied, and the copy read-only
+        for given in (random_density(rng, 4), np.diag([0.5, 0.5])):
+            held = qts.Configuration("l0", given).state
+            assert held is not given
+            assert not held.flags.writeable
+            assert np.array_equal(held, given)
+
     def test_rejects_bad_probability(self):
         with pytest.raises(DimensionMismatch):
             qts.Configuration("l0", pure(KET0), probability=0.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from qmc import linalg as la
 from qmc import reach
 from qmc.errors import DimensionMismatch
 
-from helpers import (block_unitary_channel, random_channel, random_density,
-                     random_unit_vector)
+from helpers import (block_unitary_channel, permutation_mixture_channel,
+                     random_channel, random_density, random_unit_vector,
+                     reference_vectorized_reach)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -164,6 +167,65 @@ class TestThreeWayAgreement:
             rho = random_density(rng, 4, rank=1)
             r = reach.reachable_subspace(c, rho)
             assert la.contains(r, reach.image(e, r))
+
+
+def _same_projector(a, b, tol=1e-12):
+    pa = a.basis @ a.basis.conj().T
+    pb = b.basis @ b.basis.conj().T
+    return float(np.abs(pa - pb).max(initial=0.0)) <= tol
+
+
+class TestVectorizedContraction:
+    """The vectorized route contracts each step on the d x d legs of
+    vec(rho); the reference applies the materialised `matrix_rep`."""
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5])
+    def test_matches_matrix_rep_on_permutation_mixtures(self, n_qubits, rng):
+        d = 2 ** n_qubits
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        for trial in range(8):
+            block = None
+            if trial % 2:
+                k = int(rng.integers(d // 4, 3 * d // 4 + 1))
+                block = np.sort(np.concatenate(([0], rng.choice(
+                    np.arange(1, d), size=k - 1, replace=False))))
+            c = chain_of(permutation_mixture_channel(rng, n_qubits, block))
+            got = reach.reachable_subspace_vectorized(c, rho)
+            want = reference_vectorized_reach(c, rho)
+            assert got.dim == want.dim
+            assert _same_projector(got, want)
+            if block is not None:
+                # a proper reachable subspace, inside the invariant block
+                assert got.dim < d
+                outside = np.setdiff1d(np.arange(d), block)
+                assert np.abs(got.basis[outside]).max() < 1e-12
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+    def test_matches_matrix_rep_on_random_channels(self, n_qubits, rng):
+        d = 2 ** n_qubits
+        for n_kraus in (1, 2, 4):
+            c = chain_of(random_channel(rng, n_qubits, n_kraus=n_kraus))
+            for rank in range(1, d + 1):
+                rho = random_density(rng, d, rank=rank)
+                got = reach.reachable_subspace_vectorized(c, rho)
+                want = reference_vectorized_reach(c, rho)
+                assert got.dim == want.dim
+                assert _same_projector(got, want)
+
+    def test_builds_no_superoperator_matrix(self, rng):
+        # matrix_rep at n = 5 is 1024 x 1024 complex, 16 MiB
+        c = chain_of(random_channel(rng, 5, n_kraus=2))
+        rho = random_density(rng, 32, rank=1)
+        tracemalloc.start()
+        try:
+            out = reach.reachable_subspace_vectorized(c, rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dim == 32
+        assert peak < 2 ** 20
+        assert not c.channel._matrix_rep
 
 
 class TestFixpointOracle:
