@@ -73,10 +73,13 @@ class SuperOperator:
             if k.shape != (d, d):
                 raise DimensionMismatch(
                     f"Kraus operator shape {k.shape}, expected {(d, d)}")
+            if not np.isfinite(k).all():
+                raise NormalisationViolation(
+                    "Kraus operator has a non-finite entry", defect=math.nan)
         defect = np.eye(d) - sum(k.conj().T @ k for k in mats)
         worst = float(np.abs(defect).max())
         if self.trace_class is TraceClass.PRESERVING:
-            if worst > TOL_NORM:
+            if not worst <= TOL_NORM:  # a NaN defect is refused too
                 raise NormalisationViolation(
                     "Kraus operators do not sum to a trace-preserving map "
                     f"(defect {worst:.2e})", defect=worst)
@@ -322,6 +325,8 @@ def gate_matrix(name: str, *params: float) -> np.ndarray:
         if len(params) != 1:
             raise BadParameter(f"gate {name} takes exactly one angle")
         theta = float(params[0])
+        if not math.isfinite(theta):
+            raise BadParameter(f"gate {name} angle {theta} is not finite")
         pauli = _ROTATIONS[key]
         return (math.cos(theta / 2) * np.eye(2)
                 - 1j * math.sin(theta / 2) * pauli)

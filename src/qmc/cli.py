@@ -31,7 +31,7 @@ import numpy as np
 from . import checker, kets, linalg as la, logic, qts, reach
 from . import channel as ch
 from .errors import QmcError
-from .parsing import TokenStream, parse_matrix, tokenize
+from .parsing import EOF, TokenStream, parse_matrix, tokenize
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -94,6 +94,8 @@ def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
     with open(spec, encoding="utf-8") as fh:
         ts = TokenStream(tokenize(fh.read(), ["[", "]", ",", "+", "-"]))
     rows = parse_matrix(ts)
+    if ts.peek().kind != EOF:
+        ts.error("unexpected text after the density matrix")
     rho = np.array(rows, dtype=complex)
     if rho.shape != (d, d):
         raise QmcError(f"density matrix is {rho.shape}, model needs ({d},{d})")

@@ -43,12 +43,15 @@ def _lex(text: str) -> list:
         m = _NUM_RE.match(text, i)
         if m:
             raw = m.group(0)
+            value = float(raw)
+            if value == math.inf:
+                raise ParseError("number literal out of range", 1, col)
             end = m.end()
             if end < n and text[end] == "i":
-                tokens.append(Token(IMAG, raw + "i", float(raw), 1, col))
+                tokens.append(Token(IMAG, raw + "i", value, 1, col))
                 end += 1
             else:
-                tokens.append(Token(NUMBER, raw, float(raw), 1, col))
+                tokens.append(Token(NUMBER, raw, value, 1, col))
             col += end - i
             i = end
             continue

@@ -1,14 +1,20 @@
-"""Hand-written lexing shared by the model and assertion parsers.
+"""Lexing shared by the model, assertion and initial-state parsers.
 
-Both file formats are token streams where `#` starts a comment and
+Every file format is a token stream where `#` starts a comment and
 whitespace (including newlines) only separates tokens; every construct is
 self-delimiting, so the recursive-descent parsers never need layout rules.
+
+`tokenize` is one `re.finditer` pass of one compiled pattern per
+punctuation alphabet: each match absorbs the whitespace and comments before
+one token, and the name of the group that matched is the token's kind.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -19,12 +25,8 @@ STRING = "STRING"
 PUNCT = "PUNCT"
 EOF = "EOF"
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     value: object
@@ -36,65 +38,60 @@ class Token:
         return self.kind == NUMBER and isinstance(self.value, int)
 
 
+@functools.lru_cache(maxsize=None)
+def _scanner(puncts: tuple) -> re.Pattern:
+    """Whitespace and comments, then one token; the longest punctuation
+    wins, and a number immediately followed by `i` is imaginary."""
+    alts = "".join("|" + re.escape(p)
+                   for p in sorted(puncts, key=len, reverse=True))
+    return re.compile(
+        r'(?:[ \t\r\n]|(?P<comment>#[^\n]*))*(?:'
+        r'(?P<STRING>"[^"\n]*")|(?P<QUOTE>")'
+        r'|(?P<NUMBER>\d+(?P<frac>\.\d*)?(?P<exp>[eE][+-]?\d+)?i?)'
+        r'|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)'
+        rf'|(?P<PUNCT>(?!){alts})|(?P<EOF>\Z)|(?P<BAD>.))', re.S)
+
+
 def tokenize(text: str, puncts) -> list:
-    """Token list for the given punctuation alphabet (longest match wins).
-    A number immediately followed by `i` lexes as a single IMAG token."""
-    puncts = sorted(puncts, key=len, reverse=True)
+    """Token list for the given punctuation alphabet, ending in EOF."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0 or "\n" in text[i:j]:
-                raise ParseError("unterminated string literal", line, col)
-            tokens.append(Token(STRING, text[i:j + 1], text[i + 1:j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            raw = m.group(0)
-            end = m.end()
-            if end < n and text[end] == "i":
-                tokens.append(Token(IMAG, raw + "i", float(raw), line, col))
-                end += 1
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without NamedTuple's Python-level __new__
+    line, line_start = 1, 0
+    for m in _scanner(tuple(puncts)).finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        nl = text.rfind("\n", m.start(), start)
+        if nl >= 0:
+            line += text.count("\n", m.start(), nl + 1)
+            line_start = nl + 1
+        col = start - line_start + 1
+        raw = m[kind]
+        if kind == PUNCT or kind == IDENT:
+            append(new(Token, (kind, raw, raw, line, col)))
+        elif kind == NUMBER:
+            imag = raw[-1] == "i"
+            value = float(raw[:-1] if imag else raw)
+            if value == math.inf:
+                raise ParseError("number literal out of range", line, col)
+            if imag:
+                append(new(Token, (IMAG, raw, value, line, col)))
             else:
-                value = int(raw) if re.fullmatch(r"\d+", raw) else float(raw)
-                tokens.append(Token(NUMBER, raw, value, line, col))
-            col += end - i
-            i = end
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            raw = m.group(0)
-            tokens.append(Token(IDENT, raw, raw, line, col))
-            col += len(raw)
-            i += len(raw)
-            continue
-        for p in puncts:
-            if text.startswith(p, i):
-                tokens.append(Token(PUNCT, p, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
+                if m["frac"] is None and m["exp"] is None:
+                    value = int(raw)
+                append(new(Token, (NUMBER, raw, value, line, col)))
+        elif kind == STRING:
+            append(Token(STRING, raw, raw[1:-1], line, col))
+        elif kind == EOF:
+            # a comment that runs to the end leaves EOF at its `#`
+            if m.end("comment") == len(text):
+                col = m.start("comment") - line_start + 1
+            append(Token(EOF, "", None, line, col))
+            break
+        elif kind == "QUOTE":
+            raise ParseError("unterminated string literal", line, col)
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token(EOF, "", None, line, col))
+            raise ParseError(f"unexpected character {raw!r}", line, col)
     return tokens
 
 
@@ -157,54 +154,76 @@ class TokenStream:
         raise ParseError(f"{message}, got {got!r}", tok.line, tok.column)
 
 
-def parse_complex(ts: TokenStream) -> complex:
-    """Complex literal: `a`, `bi`, `a+bi`, `a-bi`, `i`, with optional leading
-    sign on the first part."""
+_SIGNS = {"+": 1.0, "-": -1.0}
 
-    def part(sign: float):
-        tok = ts.peek()
-        if tok.kind == NUMBER:
-            ts.next()
-            return complex(sign * float(tok.value), 0.0)
-        if tok.kind == IMAG:
-            ts.next()
-            return complex(0.0, sign * tok.value)
-        if tok.kind == IDENT and tok.text == "i":
-            ts.next()
-            return complex(0.0, sign)
-        ts.error("expected a number")
 
+def _part(ts: TokenStream, i: int, sign: float) -> complex:
+    """The real or imaginary part of a complex literal at token i."""
+    tok = ts.tokens[i]
+    if tok.kind == NUMBER:
+        return complex(sign * float(tok.value), 0.0)
+    if tok.kind == IMAG:
+        return complex(0.0, sign * tok.value)
+    if tok.kind == IDENT and tok.text == "i":
+        return complex(0.0, sign)
+    ts.pos = i
+    ts.error("expected a number")
+
+
+def _complex_at(ts: TokenStream, i: int) -> tuple:
+    """The complex literal at token i and the index after it: `a`, `bi`,
+    `a+bi`, `a-bi`, `i`, with an optional sign on the first part."""
+    toks = ts.tokens
+    tok = toks[i]
     sign = 1.0
-    if ts.at_punct("-"):
-        ts.next()
-        sign = -1.0
-    elif ts.at_punct("+"):
-        ts.next()
-    z = part(sign)
+    if tok.kind == PUNCT and tok.text in _SIGNS:
+        sign = _SIGNS[tok.text]
+        i += 1
+    z = _part(ts, i, sign)
     # a+bi / a-bi: only an imaginary continuation belongs to the literal
-    nxt = ts.peek(1)
-    if ts.at_punct("+", "-") and (nxt.kind == IMAG or
-                                  (nxt.kind == IDENT and nxt.text == "i")):
-        s = -1.0 if ts.next().text == "-" else 1.0
-        z += part(s)
+    tok = toks[i + 1]
+    if tok.kind == PUNCT and tok.text in _SIGNS:
+        nxt = toks[i + 2]
+        if nxt.kind == IMAG or (nxt.kind == IDENT and nxt.text == "i"):
+            return z + _part(ts, i + 2, _SIGNS[tok.text]), i + 3
+    return z, i + 1
+
+
+def _expect_at(ts: TokenStream, i: int, text: str) -> int:
+    tok = ts.tokens[i]
+    if tok.kind != PUNCT or tok.text != text:
+        ts.pos = i
+        ts.error(f"expected {text!r}")
+    return i + 1
+
+
+def parse_complex(ts: TokenStream) -> complex:
+    """Complex literal; see `_complex_at`."""
+    z, ts.pos = _complex_at(ts, ts.pos)
     return z
 
 
 def parse_matrix(ts: TokenStream) -> tuple:
     """Square matrix literal `[[a, b], [c, d]]` of complex entries, as a
     tuple of row tuples."""
-    ts.expect_punct("[")
+    toks = ts.tokens
+    i = _expect_at(ts, ts.pos, "[")
     rows = []
     while True:
-        ts.expect_punct("[")
-        row = [parse_complex(ts)]
-        while ts.accept_punct(","):
-            row.append(parse_complex(ts))
-        ts.expect_punct("]")
+        i = _expect_at(ts, i, "[")
+        row = []
+        while True:
+            z, i = _complex_at(ts, i)
+            row.append(z)
+            if toks[i].text != "," or toks[i].kind != PUNCT:
+                break
+            i += 1
+        i = _expect_at(ts, i, "]")
         rows.append(tuple(row))
-        if not ts.accept_punct(","):
+        if toks[i].text != "," or toks[i].kind != PUNCT:
             break
-    ts.expect_punct("]")
+        i += 1
+    ts.pos = _expect_at(ts, i, "]")
     width = len(rows[0])
     if any(len(r) != width for r in rows) or len(rows) != width:
         ts.error("matrix must be square")

@@ -120,11 +120,10 @@ def gate_edge(pre, post, name, targets, n_qubits, params=()) -> Transition:
 
 
 def kraus_edge(pre, post, matrices, targets, n_qubits) -> Transition:
-    mats = tuple(tuple(tuple(complex(x) for x in row) for row in np.asarray(m))
-                 for m in matrices)
-    spec = KrausSpec(mats, tuple(targets))
-    local = ch.SuperOperator.from_kraus(
-        [np.array(m, dtype=complex) for m in mats])
+    arrays = [np.array(m, dtype=complex) for m in matrices]
+    spec = KrausSpec(tuple(tuple(map(tuple, a.tolist())) for a in arrays),
+                     tuple(targets))
+    local = ch.SuperOperator.from_kraus(arrays)
     return Transition(pre, post, local, spec.targets, n_qubits, spec)
 
 

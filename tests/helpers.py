@@ -1,6 +1,7 @@
 """Shared random generators and small numeric oracles for the test suite."""
 
 import hashlib
+import re
 
 import numpy as np
 
@@ -9,6 +10,8 @@ from qmc import checker
 from qmc import linalg as la
 from qmc import logic as lg
 from qmc import qts
+from qmc.errors import ParseError
+from qmc.parsing import EOF, IDENT, IMAG, NUMBER, PUNCT, STRING, Token
 
 
 def random_unit_vector(rng, d):
@@ -299,3 +302,127 @@ def random_closing_state(rng, n_qubits):
     else:
         v = random_unit_vector(rng, d)
     return np.outer(v, v.conj())
+
+
+_REF_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def reference_tokenize(text, puncts):
+    """`parsing.tokenize` as a character loop: the lexer the one-pass
+    scanner replaced, kept as the reference its tokens and errors must
+    match (it lexes an out-of-range literal as `inf`)."""
+    puncts = sorted(puncts, key=len, reverse=True)
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == '"':
+            j = text.find('"', i + 1)
+            if j < 0 or "\n" in text[i:j]:
+                raise ParseError("unterminated string literal", line, col)
+            tokens.append(Token(STRING, text[i:j + 1], text[i + 1:j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        m = _REF_NUMBER_RE.match(text, i)
+        if m:
+            raw = m.group(0)
+            end = m.end()
+            if end < n and text[end] == "i":
+                tokens.append(Token(IMAG, raw + "i", float(raw), line, col))
+                end += 1
+            else:
+                value = int(raw) if re.fullmatch(r"\d+", raw) else float(raw)
+                tokens.append(Token(NUMBER, raw, value, line, col))
+            col += end - i
+            i = end
+            continue
+        m = _REF_IDENT_RE.match(text, i)
+        if m:
+            raw = m.group(0)
+            tokens.append(Token(IDENT, raw, raw, line, col))
+            col += len(raw)
+            i += len(raw)
+            continue
+        for p in puncts:
+            if text.startswith(p, i):
+                tokens.append(Token(PUNCT, p, p, line, col))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token(EOF, "", None, line, col))
+    return tokens
+
+
+def reference_parse_complex(ts):
+    """`parsing.parse_complex` through the `TokenStream` cursor calls."""
+
+    def part(sign):
+        tok = ts.peek()
+        if tok.kind == NUMBER:
+            ts.next()
+            return complex(sign * float(tok.value), 0.0)
+        if tok.kind == IMAG:
+            ts.next()
+            return complex(0.0, sign * tok.value)
+        if tok.kind == IDENT and tok.text == "i":
+            ts.next()
+            return complex(0.0, sign)
+        ts.error("expected a number")
+
+    sign = 1.0
+    if ts.at_punct("-"):
+        ts.next()
+        sign = -1.0
+    elif ts.at_punct("+"):
+        ts.next()
+    z = part(sign)
+    nxt = ts.peek(1)
+    if ts.at_punct("+", "-") and (nxt.kind == IMAG or
+                                  (nxt.kind == IDENT and nxt.text == "i")):
+        s = -1.0 if ts.next().text == "-" else 1.0
+        z += part(s)
+    return z
+
+
+def reference_parse_matrix(ts):
+    """`parsing.parse_matrix` through the `TokenStream` cursor calls."""
+    ts.expect_punct("[")
+    rows = []
+    while True:
+        ts.expect_punct("[")
+        row = [reference_parse_complex(ts)]
+        while ts.accept_punct(","):
+            row.append(reference_parse_complex(ts))
+        ts.expect_punct("]")
+        rows.append(tuple(row))
+        if not ts.accept_punct(","):
+            break
+    ts.expect_punct("]")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(rows) != width:
+        ts.error("matrix must be square")
+    return tuple(rows)
+
+
+def token_key(tok):
+    """A token as a tuple that tells 1 from 1.0 and -0.0 from 0.0."""
+    return (tok.kind, tok.text, type(tok.value).__name__, repr(tok.value),
+            tok.line, tok.column)

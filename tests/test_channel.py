@@ -3,7 +3,8 @@ import pytest
 
 from qmc import channel as ch
 from qmc import qts
-from qmc.errors import (BadParameter, DimensionMismatch, RepeatedQubit,
+from qmc.errors import (BadParameter, DimensionMismatch,
+                        NormalisationViolation, RepeatedQubit,
                         TargetOutOfRange, UnknownGate)
 
 from helpers import random_channel, random_density, random_unit_vector
@@ -302,6 +303,14 @@ class TestLibraries:
         with pytest.raises(BadParameter):
             ch.gate_matrix("RX")
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["RX", "RY", "RZ"])
+    def test_rotation_refuses_a_non_finite_angle(self, name, angle):
+        with pytest.raises(BadParameter, match="not finite"):
+            ch.gate_matrix(name, angle)
+        with pytest.raises(BadParameter):
+            qts.gate_edge("a", "a", name, (1,), 1, (angle,))
+
 
 class TestPartialTrace:
     def test_product_state_factors(self, rng):
@@ -331,3 +340,16 @@ def test_trace_class_validation(rng):
     p0 = np.diag([1.0, 0.0]).astype(complex)
     branch = ch.SuperOperator(1, (p0,), ch.TraceClass.REDUCING)
     assert branch.trace_class is ch.TraceClass.REDUCING
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(1, -np.inf)])
+def test_non_finite_kraus_entry_refused(bad):
+    k = np.array([[bad, 0], [0, 1]], dtype=complex)
+    for trace_class in ch.TraceClass:
+        with pytest.raises(NormalisationViolation, match="non-finite"):
+            ch.SuperOperator(1, (k,), trace_class)
+    with pytest.raises(NormalisationViolation):
+        ch.SuperOperator.from_kraus([k])
+    with pytest.raises(NormalisationViolation):
+        qts.kraus_edge("a", "a", [k], (1,), 1)

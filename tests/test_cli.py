@@ -285,6 +285,38 @@ class TestFmt:
         assert once == twice
 
 
+class TestOutOfRangeLiterals:
+    """A number literal that overflows a float is a parse error at its
+    position, never an `inf` that reaches a verdict or a crash."""
+
+    LOOP = "qubits 1\nlocations l0\ninitial l0\ntransitions\n  l0 -> l0 : "
+
+    def run(self, capsys, tmp_path, operation, init="|0>"):
+        model = tmp_path / "loop.qts"
+        model.write_text(self.LOOP + operation + "\n")
+        ctql = tmp_path / "a.ctql"
+        ctql.write_text('let g = span { "|0>" }\nassert "a" : A G [g]\n')
+        return run_cli(capsys, "check", "--model", str(model),
+                       "--assert", str(ctql), "--init", init)
+
+    def test_kraus_entry(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path,
+                                  "kraus { [[1e400, 0], [0, 1]] }[1]")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == "qmc: error: 5:24: number literal out of range\n"
+
+    def test_gate_angle(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path, "gate RY(1e400)[1]")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == "qmc: error: 5:22: number literal out of range\n"
+
+    def test_initial_ket(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path, "gate X[1]",
+                                  init="1e400|0> + |1>")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == "qmc: error: 1:1: number literal out of range\n"
+
+
 class TestInitStates:
     def test_density_matrix_file(self, capsys, tmp_path):
         rho = tmp_path / "mixed.dm"
@@ -309,6 +341,20 @@ class TestInitStates:
         assert out == ""
         assert err == ("qmc: error: density matrix is not positive "
                        "semidefinite\n")
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_text_after_the_density_matrix_rejected(self, capsys, tmp_path,
+                                                    command):
+        rho = tmp_path / "trailing.dm"
+        rho.write_text("[[1, 0], [0, 0]] junk ]]\n")
+        args = ["--model", str(FIXTURES / "xloop.qts"), "--init", str(rho)]
+        if command == "check":
+            args += ["--assert", str(FIXTURES / "xloop.ctql")]
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == ("qmc: error: 1:18: unexpected text after the density "
+                       "matrix, got 'junk'\n")
 
     def test_wrong_dimension_rejected(self, capsys):
         code, _, err = run_cli(

@@ -483,7 +483,9 @@ class TestModelFormat:
             text = path.read_text()
             system = qts.parse_model(text)
             canon = qts.serialize_model(system)
-            assert qts.parse_model(canon).same_system(system), path.name
+            again = qts.parse_model(canon)
+            assert again.same_system(system, tol=0.0), path.name
+            assert qts.serialize_model(again) == canon, path.name
 
     def test_missing_measurement_branch_rejected(self):
         text = (FIXTURES / "bad" / "missing_branch.qts").read_text()
