@@ -76,8 +76,14 @@ class SuperOperator:
             if not np.isfinite(k).all():
                 raise NormalisationViolation(
                     "Kraus operator has a non-finite entry", defect=math.nan)
-        defect = np.eye(d) - sum(k.conj().T @ k for k in mats)
+        # finite entries can still overflow the sum; that is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.eye(d) - sum(k.conj().T @ k for k in mats)
         worst = float(np.abs(defect).max())
+        if not math.isfinite(worst):
+            raise NormalisationViolation(
+                f"Kraus operators have normalisation defect {worst}",
+                defect=worst)
         if self.trace_class is TraceClass.PRESERVING:
             if not worst <= TOL_NORM:  # a NaN defect is refused too
                 raise NormalisationViolation(

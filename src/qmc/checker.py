@@ -11,13 +11,15 @@ trace shows it, in one pass over blocks of rows of the state.
 Exploration is breadth-first up to a bound; if unexpanded nodes remain
 the graph is truncated and verdicts become three-valued.
 
-Checking labels every node with the state subformulas using the standard
-EX / EU / EG fixpoints, run twice on truncated graphs (a certain lower
-bound and a possible upper bound) so that `holds` and `fails` are only ever
-reported when the explored prefix already decides them.  Branch
-probabilities are carried for reporting; verdicts ignore them.  Traces
-start at the root; a lasso counterexample is the path from the root that
-closes a cycle.
+Checking labels every node with the state subformulas, three-valued: one
+evaluator gives the nodes that certainly satisfy a formula and those that
+possibly do, which differ only on truncated graphs, so `holds` and `fails`
+are only ever reported when the explored prefix already decides them.  EX
+is a pre-image; EU is one backward search and EG one backward pass that
+counts each node's edges into the region, both over predecessor lists, so
+each operator costs time linear in the graph.  Branch probabilities are
+carried for reporting; verdicts ignore them.  Traces start at the root; a
+lasso counterexample is the path from the root that closes a cycle.
 """
 
 from __future__ import annotations
@@ -212,14 +214,18 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0: np.ndarray,
 
 # --- three-valued CTL labeling ----------------------------------------------
 
-@dataclass(frozen=True)
-class _Sets:
-    """Per-formula node sets: `lo` certainly satisfy, `hi` possibly do."""
-    lo: frozenset
-    hi: frozenset
+LO, HI = 0, 1  # sides: the nodes that certainly, or possibly, satisfy
 
 
 class _Labeling:
+    """`eval(f, side)` is the set of nodes that certainly (LO) or possibly
+    (HI) satisfy f.  The sides differ only in `inf`, the nodes that start
+    an infinite path, and in `unexpanded`, the nodes whose successors are
+    unknown: none on LO, the incomplete nodes on HI.  A negation reads
+    its operand on the other side.  Each fixpoint is one backward pass
+    over `pred`, which lists a node's predecessors once per edge (Clarke,
+    Emerson and Sistla, TOPLAS 1986)."""
+
     def __init__(self, graph: ConfigurationGraph, bindings: dict,
                  member_tol: float = None, eig_tol: float = None):
         self.graph = graph
@@ -227,10 +233,12 @@ class _Labeling:
         self.member_tol = member_tol
         self.eig_tol = eig_tol
         self.all = frozenset(range(len(graph.nodes)))
-        self.incomplete = frozenset(n.index for n in graph.nodes
-                                    if not n.complete)
-        self.out = {n.index: tuple(dst for dst, _ in n.out)
-                    for n in graph.nodes}
+        self.unexpanded = (frozenset(), frozenset(
+            n.index for n in graph.nodes if not n.complete))
+        self.pred = [[] for _ in graph.nodes]
+        for n in graph.nodes:
+            for dst, _ in n.out:
+                self.pred[dst].append(n.index)
         # In a system where every location has outgoing transitions, every
         # configuration keeps a successor forever (normalisation leaves at
         # least one branch above the probability floor), so every node
@@ -238,97 +246,74 @@ class _Labeling:
         # the conservative per-node fixpoints.
         system = graph.system
         if all(system.outgoing(l) for l in system.locations):
-            self.inf_lo = self.inf_hi = self.all
+            self.inf = (self.all, self.all)
         else:
-            self.inf_lo = self._inf(optimistic=False)
-            self.inf_hi = self._inf(optimistic=True)
+            self.inf = tuple(self._gfp(self.all, stay)
+                             for stay in self.unexpanded)
 
-    def _inf(self, optimistic: bool) -> frozenset:
-        """Nodes certainly (or possibly) starting an infinite path."""
-        live = set(self.all)
-        while True:
-            keep = set()
-            for s in live:
-                if optimistic and s in self.incomplete:
-                    keep.add(s)
-                elif any(t in live for t in self.out[s]):
-                    keep.add(s)
-            if keep == live:
-                return frozenset(live)
-            live = keep
+    def _lfp(self, seed, through):
+        """Least Z holding `seed` and every node of `through` with an edge
+        into Z: a backward search from the seed."""
+        found = set(seed)
+        stack = list(found)
+        while stack:
+            for s in self.pred[stack.pop()]:
+                if s in through and s not in found:
+                    found.add(s)
+                    stack.append(s)
+        return found
 
-    def _pre(self, targets: frozenset) -> frozenset:
-        return frozenset(s for s in self.all
-                         if any(t in targets for t in self.out[s]))
+    def _gfp(self, region, stay):
+        """Greatest Z within `region` whose every node is in `stay` or has
+        an edge into Z: a node leaves when its count of edges into Z drops
+        to zero."""
+        live = set(region)
+        count = {s: sum(t in live for t, _ in self.graph.nodes[s].out)
+                 for s in live}
+        dead = [s for s in live if not count[s] and s not in stay]
+        while dead:
+            t = dead.pop()
+            live.remove(t)
+            for s in self.pred[t]:
+                if s in live:
+                    count[s] -= 1
+                    if not count[s] and s not in stay:
+                        dead.append(s)
+        return live
 
-    def _not(self, s: _Sets) -> _Sets:
-        return _Sets(self.all - s.hi, self.all - s.lo)
+    def _ex(self, f, side):
+        return ({s for t in f & self.inf[side] for s in self.pred[t]}
+                | self.unexpanded[side])
 
-    def _and(self, a: _Sets, b: _Sets) -> _Sets:
-        return _Sets(a.lo & b.lo, a.hi & b.hi)
+    def _eu(self, a, b, side):
+        return self._lfp((b & self.inf[side]) | (a & self.unexpanded[side]), a)
 
-    def _or(self, a: _Sets, b: _Sets) -> _Sets:
-        return _Sets(a.lo | b.lo, a.hi | b.hi)
-
-    def _ex(self, s: _Sets) -> _Sets:
-        lo = self._pre(s.lo & self.inf_lo)
-        hi = self._pre(s.hi & self.inf_hi) | self.incomplete
-        return _Sets(lo, hi)
-
-    def _eu(self, a: _Sets, b: _Sets) -> _Sets:
-        lo = b.lo & self.inf_lo
-        while True:
-            grown = lo | (a.lo & self._pre(lo))
-            if grown == lo:
-                break
-            lo = grown
-        hi = b.hi & self.inf_hi
-        while True:
-            grown = hi | (a.hi & (self.incomplete | self._pre(hi)))
-            if grown == hi:
-                break
-            hi = grown
-        return _Sets(lo, hi)
-
-    def _eg(self, s: _Sets) -> _Sets:
-        lo = s.lo
-        while True:
-            shrunk = lo & self._pre(lo)
-            if shrunk == lo:
-                break
-            lo = shrunk
-        hi = s.hi
-        while True:
-            shrunk = hi & (self.incomplete | self._pre(hi))
-            if shrunk == hi:
-                break
-            hi = shrunk
-        return _Sets(lo, hi)
-
-    def eval(self, formula) -> _Sets:
+    def eval(self, formula, side):
         if isinstance(formula, lg.Prop):
-            members = self.graph.label_set(formula.prop, self.bindings,
-                                           self.member_tol, self.eig_tol)
-            return _Sets(members, members)
+            return self.graph.label_set(formula.prop, self.bindings,
+                                        self.member_tol, self.eig_tol)
         if isinstance(formula, lg.Not):
-            return self._not(self.eval(formula.sub))
+            return self.all - self.eval(formula.sub, 1 - side)
         if isinstance(formula, lg.And):
-            return self._and(self.eval(formula.left), self.eval(formula.right))
+            return (self.eval(formula.left, side)
+                    & self.eval(formula.right, side))
         if isinstance(formula, lg.Exists):
             path = formula.path
             if isinstance(path, lg.Next):
-                return self._ex(self.eval(path.sub))
-            return self._eu(self.eval(path.left), self.eval(path.right))
+                return self._ex(self.eval(path.sub, side), side)
+            return self._eu(self.eval(path.left, side),
+                            self.eval(path.right, side), side)
         if isinstance(formula, lg.Forall):
-            path = formula.path
+            path, other = formula.path, 1 - side
             if isinstance(path, lg.Next):
                 # A X f = ! E X ! f
-                return self._not(self._ex(self._not(self.eval(path.sub))))
+                return self.all - self._ex(
+                    self.all - self.eval(path.sub, side), other)
             # A (f U g) = ! ( E(!g U (!f && !g)) || E G !g )
-            nf = self._not(self.eval(path.left))
-            ng = self._not(self.eval(path.right))
-            return self._not(self._or(self._eu(ng, self._and(nf, ng)),
-                                      self._eg(ng)))
+            nf = self.all - self.eval(path.left, side)
+            ng = self.all - self.eval(path.right, side)
+            eg = self._gfp(ng, self.unexpanded[other])
+            return self.all - (self._eu(ng, nf & ng, other) | eg)
         raise TypeError(f"not a state formula: {formula!r}")
 
 
@@ -369,10 +354,9 @@ def check(sys: q.QuantumTransitionSystem, rho0: np.ndarray, formula,
         timings["build_s"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     labeling = _Labeling(graph, bindings, member_tol, eig_tol)
-    sets = labeling.eval(formula)
-    if 0 in sets.lo:
+    if 0 in labeling.eval(formula, LO):
         result = "holds"
-    elif 0 not in sets.hi:
+    elif 0 not in labeling.eval(formula, HI):
         result = "fails"
     else:
         result = "unknown"
@@ -465,17 +449,18 @@ def extract_trace(graph: ConfigurationGraph, formula, bindings: dict,
     if kind == "unknown":
         raise NoTraceAvailable("no trace for an unknown verdict")
     labeling = _labeling or _Labeling(graph, bindings)
+    every, inf = labeling.all, labeling.inf[LO]
     root = 0
     if kind == "holds" and isinstance(formula, lg.Exists):
         path_f = formula.path
         if isinstance(path_f, lg.Next):
-            target = labeling.eval(path_f.sub).lo & labeling.inf_lo
+            target = labeling.eval(path_f.sub, LO) & inf
             for dst, _ in graph.nodes[root].out:
                 if dst in target:
                     return _steps_for(graph, [root, dst])
             raise NoTraceAvailable("no witness edge found")
-        good = labeling.eval(path_f.left).lo
-        target = labeling.eval(path_f.right).lo & labeling.inf_lo
+        good = labeling.eval(path_f.left, LO)
+        target = labeling.eval(path_f.right, LO) & inf
         path = _shortest_path(graph, root, good, target)
         if path is None:
             raise NoTraceAvailable("no witness path found")
@@ -483,15 +468,14 @@ def extract_trace(graph: ConfigurationGraph, formula, bindings: dict,
     if kind == "fails" and isinstance(formula, lg.Forall):
         path_f = formula.path
         if isinstance(path_f, lg.Next):
-            bad = (labeling.all - labeling.eval(path_f.sub).hi) \
-                & labeling.inf_lo
+            bad = (every - labeling.eval(path_f.sub, HI)) & inf
             for dst, _ in graph.nodes[root].out:
                 if dst in bad:
                     return _steps_for(graph, [root, dst])
             raise NoTraceAvailable("no refuting edge found")
-        not_f = labeling.all - labeling.eval(path_f.left).hi
-        not_g = labeling.all - labeling.eval(path_f.right).hi
-        dead = not_f & not_g & labeling.inf_lo
+        not_f = every - labeling.eval(path_f.left, HI)
+        not_g = every - labeling.eval(path_f.right, HI)
+        dead = not_f & not_g & inf
         path = _shortest_path(graph, root, not_g, dead)
         if path is not None and root in not_g | dead:
             return _steps_for(graph, path)

@@ -82,10 +82,14 @@ def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
         if vec.shape[0] != d:
             raise QmcError(
                 f"initial ket has dim {vec.shape[0]}, model needs {d}")
-        norm = np.linalg.norm(vec)
-        if norm <= 0.0:
+        peak = np.abs(vec).max()
+        if peak == 0.0:
             raise QmcError("initial ket is the zero vector")
-        vec = vec / norm
+        # scaled first by the power of two nearest its largest magnitude,
+        # so the norm cannot overflow; that scaling is exact, so the state
+        # is the one the unscaled norm gives
+        vec = np.ldexp(vec.view(float), -np.frexp(peak)[1]).view(complex)
+        vec = vec / np.linalg.norm(vec)
         rho = np.outer(vec, vec.conj())
         rho.setflags(write=False)
         return rho

@@ -104,7 +104,11 @@ class _KetParser:
         vec = self.factor()
         while self.ts.at_punct("/"):
             self.ts.next()
-            vec = vec / self.scalar()
+            tok = self.ts.peek()
+            divisor = self.scalar()
+            if divisor == 0:
+                raise ParseError("division by zero", tok.line, tok.column)
+            vec = vec / divisor
         return vec
 
     def factor(self) -> np.ndarray:
@@ -193,8 +197,13 @@ class _KetParser:
 
 
 def parse_ket(text: str) -> np.ndarray:
-    """Evaluate a ket expression to a complex vector (not normalised)."""
-    return _KetParser(text).parse()
+    """Evaluate a ket expression to a complex vector (not normalised); an
+    amplitude that overflows is a ParseError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = _KetParser(text).parse()
+    if not np.isfinite(vec).all():
+        raise ParseError("ket amplitude overflows", 1, 1)
+    return vec
 
 
 def ket_string(vec: np.ndarray, tol: float = 0.0, digits: int = None) -> str:

@@ -239,11 +239,12 @@ class Configuration:
         for rows in row_blocks(*state.shape):
             diff = np.conjugate(state[:, rows].T)
             diff -= state[rows]
-            defect = max(defect, float(np.abs(diff).max(initial=0.0)))
-        if defect > TOL_HERM_STATE:
-            raise DimensionMismatch("configuration state is not Hermitian")
+            block = float(np.abs(diff).max(initial=0.0))
+            if not block <= TOL_HERM_STATE:  # a NaN entry is refused too
+                raise DimensionMismatch("configuration state is not Hermitian")
+            defect = max(defect, block)
         tr = float(np.trace(state).real)
-        if abs(tr - 1.0) > TOL_NORM:
+        if not abs(tr - 1.0) <= TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
         state.setflags(write=False)
         self._init(location, probability, state, None, defect)
@@ -255,10 +256,11 @@ class Configuration:
         orthonormal columns `vecs` and positive `vals`, descending.  The
         arrays are kept, not copied, and made read-only."""
         gram = vecs.conj().T @ vecs
-        if np.abs(gram - np.eye(len(gram))).max(initial=0.0) > TOL_ORTHO:
+        # `not x <= tol` also refuses a NaN
+        if not np.abs(gram - np.eye(len(gram))).max(initial=0.0) <= TOL_ORTHO:
             raise DimensionMismatch("configuration factor is not orthonormal")
         tr = float(vals.sum())
-        if abs(tr - 1.0) > TOL_NORM:
+        if not abs(tr - 1.0) <= TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
         vecs.setflags(write=False)
         vals.setflags(write=False)

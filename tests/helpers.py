@@ -286,6 +286,105 @@ def dense_build_graph(system, rho0, bound=checker.DEFAULT_BOUND):
     return checker.ConfigurationGraph(system, tuple(nodes), closure)
 
 
+
+class ReferenceLabeling:
+    """Three-valued CTL labeling by whole-graph fixpoint iteration, every
+    operator written twice: for the nodes that certainly satisfy (lo) and
+    for those that possibly do (hi).  This is the labeling that
+    `checker._Labeling` replaced with one backward pass per fixpoint, kept
+    as the reference it must match; `eval` returns the pair (lo, hi)."""
+
+    def __init__(self, graph, bindings):
+        self.graph = graph
+        self.bindings = bindings
+        self.all = frozenset(range(len(graph.nodes)))
+        self.incomplete = frozenset(n.index for n in graph.nodes
+                                    if not n.complete)
+        self.out = {n.index: tuple(dst for dst, _ in n.out)
+                    for n in graph.nodes}
+        system = graph.system
+        if all(system.outgoing(l) for l in system.locations):
+            self.inf_lo = self.inf_hi = self.all
+        else:
+            self.inf_lo = self._inf(optimistic=False)
+            self.inf_hi = self._inf(optimistic=True)
+
+    def _inf(self, optimistic):
+        live = set(self.all)
+        while True:
+            keep = {s for s in live
+                    if (optimistic and s in self.incomplete)
+                    or any(t in live for t in self.out[s])}
+            if keep == live:
+                return frozenset(live)
+            live = keep
+
+    def _pre(self, targets):
+        return frozenset(s for s in self.all
+                         if any(t in targets for t in self.out[s]))
+
+    def _not(self, s):
+        return self.all - s[1], self.all - s[0]
+
+    def _ex(self, s):
+        return (self._pre(s[0] & self.inf_lo),
+                self._pre(s[1] & self.inf_hi) | self.incomplete)
+
+    def _eu(self, a, b):
+        lo = b[0] & self.inf_lo
+        while True:
+            grown = lo | (a[0] & self._pre(lo))
+            if grown == lo:
+                break
+            lo = grown
+        hi = b[1] & self.inf_hi
+        while True:
+            grown = hi | (a[1] & (self.incomplete | self._pre(hi)))
+            if grown == hi:
+                break
+            hi = grown
+        return lo, hi
+
+    def _eg(self, s):
+        lo = s[0]
+        while True:
+            shrunk = lo & self._pre(lo)
+            if shrunk == lo:
+                break
+            lo = shrunk
+        hi = s[1]
+        while True:
+            shrunk = hi & (self.incomplete | self._pre(hi))
+            if shrunk == hi:
+                break
+            hi = shrunk
+        return lo, hi
+
+    def eval(self, formula):
+        if isinstance(formula, lg.Prop):
+            members = self.graph.label_set(formula.prop, self.bindings)
+            return members, members
+        if isinstance(formula, lg.Not):
+            return self._not(self.eval(formula.sub))
+        if isinstance(formula, lg.And):
+            a, b = self.eval(formula.left), self.eval(formula.right)
+            return a[0] & b[0], a[1] & b[1]
+        path = formula.path
+        if isinstance(formula, lg.Exists):
+            if isinstance(path, lg.Next):
+                return self._ex(self.eval(path.sub))
+            return self._eu(self.eval(path.left), self.eval(path.right))
+        if isinstance(path, lg.Next):
+            # A X f = ! E X ! f
+            return self._not(self._ex(self._not(self.eval(path.sub))))
+        # A (f U g) = ! ( E(!g U (!f && !g)) || E G !g )
+        nf = self._not(self.eval(path.left))
+        ng = self._not(self.eval(path.right))
+        eu = self._eu(ng, (nf[0] & ng[0], nf[1] & ng[1]))
+        eg = self._eg(ng)
+        return self._not((eu[0] | eg[0], eu[1] | eg[1]))
+
+
 def random_closing_state(rng, n_qubits):
     """Initial states likely to produce small, closing orbits."""
     d = 2 ** n_qubits

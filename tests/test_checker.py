@@ -4,17 +4,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmc import channel as ch
 from qmc import checker
 from qmc import linalg as la
 from qmc import logic as lg
 from qmc import qts
-from qmc.errors import NoTraceAvailable, UnboundAtom
+from qmc.errors import DimensionMismatch, NoTraceAvailable, UnboundAtom
 
-from helpers import (dense_build_graph, dense_step, random_closing_qts,
-                     random_closing_state, random_density,
-                     random_state_formula, random_subspace,
+from helpers import (ReferenceLabeling, dense_build_graph, dense_step,
+                     random_closing_qts, random_closing_state,
+                     random_density, random_state_formula, random_subspace,
                      random_unit_vector, reference_fingerprint)
 from oracle import PathOracle
 
@@ -120,6 +122,13 @@ class TestCheckBasics:
                                 bindings, bound=16)
         assert verdict.result == "holds"
 
+    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan),
+                                     np.diag([np.nan, 0.0])])
+    def test_nan_initial_state_is_refused(self, bad):
+        with pytest.raises(DimensionMismatch):
+            checker.check(qts.build_sequential(ch.gate_library("X"), 1, 0),
+                          bad, lg.parse_formula("A G [zero]"), BINDINGS_1Q)
+
     def test_unbound_atom_raises(self):
         with pytest.raises(UnboundAtom):
             checker.check(id_loop_system(), pure(KET0),
@@ -199,6 +208,94 @@ class TestThreeValued:
                     decided = v.result
                 elif decided is not None and v.result != "unknown":
                     assert v.result == decided
+
+
+# Two-qubit basis states |k>, k = 0..3, give every combination of [a] and
+# [b] at a node.
+BASIS_2Q = np.eye(4, dtype=complex)
+BINDINGS_AB = {"a": span(BASIS_2Q[0], BASIS_2Q[1]),
+               "b": span(BASIS_2Q[0], BASIS_2Q[2])}
+
+
+def abstract_graph(states, edges, complete, sinks):
+    """A configuration graph with the given out-edge lists (duplicates are
+    parallel edges) over basis states of two qubits.  An incomplete node
+    has no edges, as in a truncated `build_graph`; a system without sink
+    locations passes the total-system shortcut."""
+    system = SimpleNamespace(n_qubits=2, locations=("l0",),
+                             outgoing=lambda _: () if sinks else (None,))
+    nodes = tuple(
+        checker.GraphNode(i, qts.Configuration("l0", pure(BASIS_2Q[k])),
+                          None, 0, done,
+                          tuple((t, 1.0) for t in out) if done else ())
+        for i, (k, out, done) in enumerate(zip(states, edges, complete)))
+    return checker.ConfigurationGraph(system, nodes, checker.COMPLETE)
+
+
+@st.composite
+def abstract_graphs(draw):
+    n = draw(st.integers(1, 7))
+    sinks = draw(st.booleans())
+    complete = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # without sink locations every complete node keeps a successor
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=0 if sinks else 1,
+                 max_size=3), min_size=n, max_size=n))
+    states = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return abstract_graph(states, edges, complete, sinks)
+
+
+_PROPS = st.sampled_from([lg.Prop(lg.Atom("a")), lg.Prop(lg.Atom("b")),
+                          lg.TRUE, lg.FALSE])
+FORMULAS = st.recursive(_PROPS, lambda sub: st.one_of(
+    st.builds(lg.Not, sub), st.builds(lg.And, sub, sub),
+    st.builds(lambda f: lg.Exists(lg.Next(f)), sub),
+    st.builds(lambda f: lg.Forall(lg.Next(f)), sub),
+    st.builds(lambda f, g: lg.Exists(lg.Until(f, g)), sub, sub),
+    st.builds(lambda f, g: lg.Forall(lg.Until(f, g)), sub, sub)),
+    max_leaves=6)
+
+
+def state_subformulas(formula):
+    yield formula
+    if isinstance(formula, lg.Not):
+        parts = (formula.sub,)
+    elif isinstance(formula, lg.And):
+        parts = (formula.left, formula.right)
+    elif isinstance(formula, (lg.Exists, lg.Forall)):
+        path = formula.path
+        parts = (path.sub,) if isinstance(path, lg.Next) else \
+            (path.left, path.right)
+    else:
+        parts = ()
+    for part in parts:
+        yield from state_subformulas(part)
+
+
+class TestLabelingAgainstReference:
+    """The one-pass labeling gives the sets of the whole-graph fixpoint
+    iteration it replaced, on both sides, for every subformula."""
+
+    @given(abstract_graphs(), FORMULAS)
+    def test_every_subformula_on_both_sides(self, graph, formula):
+        labeling = checker._Labeling(graph, BINDINGS_AB)
+        reference = ReferenceLabeling(graph, BINDINGS_AB)
+        assert labeling.inf == (reference.inf_lo, reference.inf_hi)
+        for f in state_subformulas(formula):
+            want = reference.eval(f)
+            got = (labeling.eval(f, checker.LO), labeling.eval(f, checker.HI))
+            assert got == want, lg.print_formula(f)
+
+    def test_eg_counts_parallel_edges(self):
+        # 0 -> 1 twice, 1 -> 2, 2 -> 2; [a] holds at 0 and 1 only, so once
+        # node 1 leaves E G [a] both edges of node 0 are gone
+        graph = abstract_graph([0, 1, 3], [[1, 1], [2], [2]],
+                               [True] * 3, sinks=False)
+        eg_a = lg.parse_formula("E G [a]")
+        labeling = checker._Labeling(graph, BINDINGS_AB)
+        assert labeling.eval(eg_a, checker.LO) == set()
+        assert ReferenceLabeling(graph, BINDINGS_AB).eval(eg_a) == \
+            (frozenset(), frozenset())
 
 
 class TestAgainstPathOracle:

@@ -356,6 +356,31 @@ class TestInitStates:
         assert err == ("qmc: error: 1:18: unexpected text after the density "
                        "matrix, got 'junk'\n")
 
+    CYCLE_CTQL = ('let z = span { "|0>" }\nassert "a" : A G [z]\n'
+                  'assert "b" : E X [z]\n')
+
+    def run_xloop(self, capsys, tmp_path, init):
+        ctql = tmp_path / "z.ctql"
+        ctql.write_text(self.CYCLE_CTQL)
+        return run_cli(capsys, "check", "--model", str(FIXTURES / "xloop.qts"),
+                       "--assert", str(ctql), "--init", init)
+
+    @pytest.mark.parametrize("init, message", [
+        ("|0>/0", "1:5: division by zero"),
+        ("|0>/sqrt0", "1:5: division by zero"),
+        ("1e308|0> + 1e308|0>", "1:1: ket amplitude overflows"),
+        ("|0>/1e-320", "1:1: ket amplitude overflows")])
+    def test_non_finite_ket_rejected(self, capsys, tmp_path, init, message):
+        # RuntimeWarnings are errors in this suite, so none is printed either
+        code, out, err = self.run_xloop(capsys, tmp_path, init)
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == f"qmc: error: {message}\n"
+
+    def test_huge_ket_is_normalised(self, capsys, tmp_path):
+        # the norm of 1e200|0> overflows; the largest magnitude does not
+        assert self.run_xloop(capsys, tmp_path, "1e200|0>") == \
+            self.run_xloop(capsys, tmp_path, "|0>")
+
     def test_wrong_dimension_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "--model", str(FIXTURES / "teleport.qts"),

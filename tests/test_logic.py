@@ -176,6 +176,19 @@ class TestKetStrings:
         with pytest.raises(ParseError):
             parse_ket("|0> + |01>")
 
+    @pytest.mark.parametrize("text, column", [
+        ("|0>/0", 5), ("|0>/sqrt0", 5), ("(|0> + |1>)/(0+0i)", 13)])
+    def test_division_by_zero_is_a_parse_error(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_ket(text)
+        assert str(info.value) == f"1:{column}: division by zero"
+
+    @pytest.mark.parametrize("text", ["1e308|0> + 1e308|0>", "|0>/1e-320",
+                                      "1e200(1e200|0>)"])
+    def test_overflowing_amplitude_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="ket amplitude overflows"):
+            parse_ket(text)
+
     def test_round_trip_full_precision(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 4))

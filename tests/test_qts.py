@@ -507,6 +507,16 @@ class TestModelFormat:
         with pytest.raises(NormalisationViolation):
             qts.parse_model(text)
 
+    def test_overflowing_kraus_sum_rejected_without_warnings(self):
+        # the entry is finite, its square is not; RuntimeWarnings are
+        # errors in this suite
+        text = ("qubits 1\nlocations l0\ninitial l0\ntransitions\n"
+                "  l0 -> l0 : kraus { [[1e200, 0], [0, 1]] }[1]\n")
+        with pytest.raises(NormalisationViolation) as info:
+            qts.parse_model(text)
+        assert str(info.value) == \
+            "5:14: Kraus operators have normalisation defect inf"
+
     def test_trace_reducing_edge_alone_rejected(self):
         text = (FIXTURES / "bad" / "reducing_kraus.qts").read_text()
         with pytest.raises(NormalisationViolation) as info:
@@ -597,6 +607,22 @@ class TestConfiguration:
         assert np.array_equal(first, want)
         assert np.array_equal(succ.product, (u * lam) @ u.conj().T)
         assert np.abs(first - rho).max() < 1e-12
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+    def test_rejects_a_nan_state(self, where):
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        rho[where] = np.nan
+        with pytest.raises(DimensionMismatch):
+            qts.Configuration("l0", rho)
+
+    def test_factor_rejects_nan(self):
+        vecs = np.eye(2, dtype=complex)[:, :1]
+        with pytest.raises(DimensionMismatch, match="trace"):
+            qts.Configuration.from_factor("l0", vecs.copy(),
+                                          np.array([np.nan]))
+        with pytest.raises(DimensionMismatch, match="orthonormal"):
+            qts.Configuration.from_factor("l0", np.full((2, 1), np.nan + 0j),
+                                          np.array([1.0]))
 
     def test_rejects_unnormalised(self):
         with pytest.raises(DimensionMismatch):
