@@ -6,8 +6,17 @@ follow the system's transitions with their branch probabilities.  Every
 node but the root holds only its state's spectral factor.  Two states at
 one location share a node when no entry differs by more than TOL_FP,
 found by a range query on a scalar key and confirmed on the factors (see
-`build_graph`).  A node's rounded `fingerprint` is computed only when a
-trace shows it, in one pass over blocks of rows of the state.
+`build_graph`).
+
+A state's digest names it in traces and reports.  It hashes the rounded
+m x m sketch V^dagger rho V for a fixed, seeded complex Gaussian d x m
+probe block V, m = min(d, 16) (a randomized range sketch after Halko,
+Martinsson and Tropp, SIAM Review 2011).  Equal states get equal digests,
+and distinct states are told apart almost surely; for d <= 16, V is
+square and invertible, so the sketch determines the state.  A node's
+digest is computed only when a trace shows it, from its factor in
+O(d r m).
+
 Exploration is breadth-first up to a bound; if unexpanded nodes remain
 the graph is truncated and verdicts become three-valued.
 
@@ -25,6 +34,7 @@ lasso counterexample is the path from the root that closes a cycle.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -38,44 +48,58 @@ from .errors import NoTraceAvailable, UnboundAtom
 from .linalg import TOL_FP
 
 FP_DECIMALS = 7     # fingerprint rounding, decimal places
+SKETCH_PROBES = 16  # columns of the digest's probe block, at most d
 DEFAULT_BOUND = 64  # exploration depth when none is given
 _PROBE_SEED = 0     # seed of the dedup key's random vector
+_SKETCH_SEED = 1    # seed of the digest's probe block
 
 COMPLETE = "complete"
 
 
-def fingerprint(product: np.ndarray) -> str:
-    """Hex digest of (P + P^dagger)/2 rounded to FP_DECIMALS, -0.0 folded
-    into +0.0; it names a state in traces and reports.  P is a complex
-    square matrix: a state, or the unsymmetrized product of a factor
-    (`Configuration.product`), which digests as its symmetrization does.
+@functools.lru_cache(maxsize=None)
+def _probes(d: int) -> np.ndarray:
+    """V^dagger for the sketch's probe block V, a d x m complex Gaussian,
+    m = min(d, SKETCH_PROBES): an m x d array of standard normal (real,
+    imaginary) pairs from a generator seeded with _SKETCH_SEED, so it is
+    the same in every run.  Built once per d and kept read-only."""
+    m = min(d, SKETCH_PROBES)
+    rng = np.random.default_rng(_SKETCH_SEED)
+    vh = rng.standard_normal((m, 2 * d)).view(complex)
+    vh.setflags(write=False)
+    return vh
 
-    One streamed pass: each block of rows of the rounded matrix is built
-    in one fresh tile and fed to the hash, so no d x d temporary is made.
-    The tile is rounded through its float view as rint(x * 10^7 / 2) /
-    10^7, which is bit-identical to halving (exact) and then np.round."""
-    scale = 10.0 ** FP_DECIMALS
-    digest = hashlib.blake2b(digest_size=16)
-    for rows in la.row_blocks(*product.shape):
-        block = product[rows]
-        tile = np.conjugate(product[:, rows].T,
-                            out=np.empty(block.shape, dtype=complex))
-        tile += block
-        flat = tile.view(float)
-        flat *= 0.5 * scale
-        np.rint(flat, out=flat)
-        flat /= scale
-        flat += 0.0  # fold -0.0 into +0.0
-        digest.update(tile)
-    return digest.hexdigest()
+
+def _sketch_digest(sketch: np.ndarray) -> str:
+    """Hex digest of (S + S^dagger)/2 rounded to FP_DECIMALS, -0.0 folded
+    into +0.0, for the m x m sketch S."""
+    sym = np.round((sketch + sketch.conj().T) / 2.0, FP_DECIMALS)
+    sym += 0.0  # fold -0.0 into +0.0
+    return hashlib.blake2b(sym.tobytes(), digest_size=16).hexdigest()
+
+
+def fingerprint(state: np.ndarray) -> str:
+    """The digest that names a state in traces and reports: a hash of the
+    rounded sketch S = V^dagger rho V of the d x d state rho, for the fixed
+    seeded probe block V (`_probes`).  This dense route costs O(d^2 m); a
+    graph node is digested from its factor by `spectral_fingerprint`, which
+    gives the same digest."""
+    vh = _probes(len(state))
+    return _sketch_digest((vh @ state) @ vh.conj().T)
+
+
+def spectral_fingerprint(vecs: np.ndarray, vals: np.ndarray) -> str:
+    """`fingerprint` of vecs diag(vals) vecs^dagger from the factor: with
+    W = V^dagger U (m x r), S = (W lambda) W^dagger, in O(d r m) and
+    without a d x d array."""
+    w = _probes(len(vecs)) @ vecs
+    return _sketch_digest((w * vals) @ w.conj().T)
 
 
 @dataclass(eq=False)
 class GraphNode:
-    """A configuration of the graph.  `digest` is `fingerprint` of its
-    state, computed on first read (only nodes on a trace need it) from
-    `config.product`, a transient rebuild for a factor-only node;
-    `_digest` holds it once known."""
+    """A configuration of the graph.  `digest` is the `fingerprint` of its
+    state, computed from the node's spectral factor on first read (only
+    nodes on a trace need it); `_digest` holds it once known."""
 
     index: int
     config: q.Configuration
@@ -87,7 +111,7 @@ class GraphNode:
     @property
     def digest(self) -> str:
         if self._digest is None:
-            self._digest = fingerprint(self.config.product)
+            self._digest = spectral_fingerprint(*self.config.spectrum)
         return self._digest
 
 
@@ -97,6 +121,7 @@ class ConfigurationGraph:
     nodes: tuple
     closure: object  # COMPLETE or ("truncated", bound)
     _labels: dict = field(default_factory=dict, repr=False)
+    _supports: dict = field(default_factory=dict, repr=False)
 
     @property
     def root(self) -> GraphNode:
@@ -111,9 +136,10 @@ class ConfigurationGraph:
         """Indices of the nodes whose state's support lies in the denoted
         subspace; cached per proposition, the subspaces bound to its atoms
         and the tolerances.  Each support is read from the node's spectral
-        factor (`Configuration.support`), so labeling decomposes no state,
-        and `~p` and `true` denote co-bases (`linalg.Subspace`), so it
-        builds no d x d basis for them either."""
+        factor (`Configuration.support`) once per `eig_tol` and kept, so
+        labeling decomposes no state and reads no factor twice, and `~p`
+        and `true` denote co-bases (`linalg.Subspace`), so it builds no
+        d x d basis for them either."""
         member_tol = la.TOL_MEMBER if member_tol is None else member_tol
         eig_tol = la.TOL_EIG if eig_tol is None else eig_tol
         # Subspaces hash by identity, so rebinding an atom misses the cache.
@@ -126,11 +152,12 @@ class ConfigurationGraph:
         if key not in self._labels:
             target = lg.eval_prop(prop, bindings,
                                   ambient_dim=2 ** self.system.n_qubits)
-            members = frozenset(
-                n.index for n in self.nodes
-                if la.contains(target, n.config.support(eig_tol),
-                               member_tol))
-            self._labels[key] = members
+            if eig_tol not in self._supports:
+                self._supports[eig_tol] = [n.config.support(eig_tol)
+                                           for n in self.nodes]
+            self._labels[key] = frozenset(
+                i for i, sup in enumerate(self._supports[eig_tol])
+                if la.contains(target, sup, member_tol))
         return self._labels[key]
 
 

@@ -264,7 +264,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     def grow(config, depth):
         entry = {"location": config.location,
                  "probability": config.probability,
-                 "state_digest": checker.fingerprint(config.product)}
+                 "state_digest": checker.spectral_fingerprint(
+                     *config.spectrum)}
         if depth < cfg.depth:
             entry["children"] = [grow(succ, depth + 1)
                                  for succ, _ in qts.step(system, config)]

@@ -16,9 +16,10 @@ U diag(lambda) U^dagger.  Stepping maps the factor through the Kraus
 operators and one thin SVD, so only a configuration built by hand (such as
 the root of a graph) ever needs an eigendecomposition, of the rows and
 columns its state occupies, and the checker reads every node's support
-straight from the factor.  A configuration that `step` builds holds
-nothing but the factor, O(d r) numbers for a rank-r state: its dense
-state is rebuilt only when it is read.
+and trace digest straight from the factor.  A configuration that `step`
+builds holds nothing but the factor, O(d r) numbers for a rank-r state:
+its dense state is rebuilt only when it is read, and nothing on the check
+path reads it.
 
 The edge constructors `gate_edge`, `kraus_edge` and `measure_edge` are
 the one place a transition is validated: `channel.check_targets` checks
@@ -216,13 +217,13 @@ class Configuration:
 
     A configuration built by hand, such as the root of a graph, holds its
     dense state (a read-only complex array as it is, anything else as a
-    read-only copy), checked for Hermiticity (a block of rows at a time) and
-    unit trace; its spectral factor is computed the first time `spectrum`
-    is read, by one `eigh` of the rows and columns the state occupies.  A
+    read-only copy), checked for finite entries and Hermiticity (a block of
+    rows at a time) and unit trace; its spectral factor is computed the
+    first time `spectrum` is read, by one `eigh` of the rows and columns
+    the state occupies.  A
     configuration that `step` builds (`from_factor`) holds only the factor
     (U, lambda), checked at O(d r^2): U orthonormal and lambda summing to
-    1.  Its `product` and `state` are rebuilt on every read and never
-    kept."""
+    1.  Its `state` is rebuilt on every read and never kept."""
 
     __slots__ = ("location", "probability", "_state", "_spectrum",
                  "_herm_defect")
@@ -236,14 +237,23 @@ class Configuration:
         # kept so that `support` repeats linalg.support's stricter check
         # without another pass over the matrix
         defect = 0.0
-        for rows in row_blocks(*state.shape):
-            diff = np.conjugate(state[:, rows].T)
-            diff -= state[rows]
-            block = float(np.abs(diff).max(initial=0.0))
-            if not block <= TOL_HERM_STATE:  # a NaN entry is refused too
-                raise DimensionMismatch("configuration state is not Hermitian")
-            defect = max(defect, block)
-        tr = float(np.trace(state).real)
+        # a finite entry so large that a difference or the trace overflows
+        # fails its check as inf, without a warning
+        with np.errstate(over="ignore"):
+            for rows in row_blocks(*state.shape):
+                diff = np.conjugate(state[:, rows].T)
+                # refused before the subtraction, which would warn on them
+                if not (np.isfinite(diff).all()
+                        and np.isfinite(state[rows]).all()):
+                    raise DimensionMismatch(
+                        "configuration state has a non-finite entry")
+                diff -= state[rows]
+                block = float(np.abs(diff).max(initial=0.0))
+                if not block <= TOL_HERM_STATE:
+                    raise DimensionMismatch(
+                        "configuration state is not Hermitian")
+                defect = max(defect, block)
+            tr = float(np.trace(state).real)
         if not abs(tr - 1.0) <= TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
         state.setflags(write=False)
@@ -279,22 +289,14 @@ class Configuration:
         self._herm_defect = herm_defect
 
     @property
-    def product(self) -> np.ndarray:
-        """The held state, or U diag(lambda) U^dagger rebuilt in a fresh
-        array.  The rebuilt product is Hermitian only up to rounding;
-        `checker.fingerprint` symmetrizes as it reads, so digests use it."""
+    def state(self) -> np.ndarray:
+        """The dense state: the one held, or U diag(lambda) U^dagger rebuilt
+        in a fresh array and Hermitian-symmetrized in place, which makes it
+        exactly Hermitian."""
         if self._state is not None:
             return self._state
         u, lam = self._spectrum
-        return (u * lam) @ u.conj().T
-
-    @property
-    def state(self) -> np.ndarray:
-        """The dense state: the one held, or `product` Hermitian-symmetrized
-        in place, which makes it exactly Hermitian."""
-        if self._state is not None:
-            return self._state
-        post = self.product
+        post = (u * lam) @ u.conj().T
         post += post.conj().T
         post /= 2.0
         return post

@@ -227,8 +227,9 @@ def random_circuit(rng, n_qubits, depth):
 
 
 def reference_fingerprint(state):
-    """`checker.fingerprint` by its whole-matrix definition: blake2b of
-    (state + state^dagger)/2 rounded to FP_DECIMALS, -0.0 folded."""
+    """A whole-matrix digest: blake2b of (state + state^dagger)/2 rounded
+    to FP_DECIMALS, -0.0 folded.  `dense_build_graph` buckets on it, so
+    two states share a bucket only when every entry rounds alike."""
     sym = np.round((state + state.conj().T) / 2.0, checker.FP_DECIMALS)
     sym += 0.0
     return hashlib.blake2b(sym.tobytes(), digest_size=16).hexdigest()
@@ -250,12 +251,13 @@ def dense_step(system, config):
 
 def dense_build_graph(system, rho0, bound=checker.DEFAULT_BOUND):
     """Reference for `checker.build_graph`, deduplicating on dense states by
-    rounded-fingerprint buckets: a successor merges into the first node of
-    its (location, fingerprint) bucket whose dense state is within TOL_FP
-    of its own.  Digests are computed eagerly."""
+    rounded-entry buckets: a successor merges into the first node of its
+    (location, `reference_fingerprint`) bucket whose dense state is within
+    TOL_FP of its own.  Node digests are computed on first read, as
+    `build_graph`'s are."""
     root = qts.Configuration(system.initial, np.asarray(rho0, dtype=complex))
-    nodes = [checker.GraphNode(0, root, checker.fingerprint(root.state), 0)]
-    buckets = {(root.location, nodes[0].digest): [0]}
+    nodes = [checker.GraphNode(0, root, None, 0)]
+    buckets = {(root.location, reference_fingerprint(root.state)): [0]}
     frontier = [0]
     for _ in range(bound):
         if not frontier:
@@ -265,7 +267,7 @@ def dense_build_graph(system, rho0, bound=checker.DEFAULT_BOUND):
             edges = []
             for succ, p in qts.step(system, nodes[index].config):
                 state = succ.state
-                key = (succ.location, checker.fingerprint(state))
+                key = (succ.location, reference_fingerprint(state))
                 dst = None
                 for cand in buckets.get(key, ()):
                     diff = np.abs(nodes[cand].config.state - state).max()
@@ -274,7 +276,7 @@ def dense_build_graph(system, rho0, bound=checker.DEFAULT_BOUND):
                         break
                 if dst is None:
                     dst = len(nodes)
-                    nodes.append(checker.GraphNode(dst, succ, key[1],
+                    nodes.append(checker.GraphNode(dst, succ, None,
                                                    nodes[index].depth + 1))
                     buckets.setdefault(key, []).append(dst)
                     next_frontier.append(dst)

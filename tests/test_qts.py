@@ -605,7 +605,6 @@ class TestConfiguration:
         first = succ.state
         assert first is not succ.state
         assert np.array_equal(first, want)
-        assert np.array_equal(succ.product, (u * lam) @ u.conj().T)
         assert np.abs(first - rho).max() < 1e-12
 
     @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
@@ -613,6 +612,30 @@ class TestConfiguration:
         rho = np.diag([1.0, 0.0]).astype(complex)
         rho[where] = np.nan
         with pytest.raises(DimensionMismatch):
+            qts.Configuration("l0", rho)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("d, where", [(2, (0, 0)), (2, (0, 1)),
+                                          (300, (299, 0))])
+    def test_rejects_a_non_finite_entry_without_a_warning(self, value, d,
+                                                          where):
+        # d = 300 puts the entry in the second block of rows
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        rho[where] = value
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            qts.Configuration("l0", rho)
+
+    def test_rejects_a_real_inf_diagonal(self):
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            qts.Configuration("l0", np.diag([np.inf, 0.0]))
+
+    @pytest.mark.parametrize("rho, match", [
+        ([[0.5, 1e308], [-1e308, 0.5]], "Hermitian"),
+        ([[1e308j, 0.0], [0.0, 1.0]], "Hermitian"),
+        ([[1e308, 0.0], [0.0, 1e308]], "trace")])
+    def test_rejects_an_overflowing_entry_without_a_warning(self, rho, match):
+        with pytest.raises(DimensionMismatch, match=match):
             qts.Configuration("l0", rho)
 
     def test_factor_rejects_nan(self):
