@@ -711,6 +711,31 @@ def test_fingerprint_distinguishes_states():
     assert checker.fingerprint(pure(KET0)) != checker.fingerprint(pure(PLUS))
 
 
+class TestStreamedDigest:
+    """The digest's rounding step, (S + S^dagger)/2 to FP_DECIMALS with -0.0
+    folded, must match the whole-matrix definition bit for bit on any
+    square S, and a state written with -0.0 entries must digest like its
+    +0.0 twin."""
+
+    @pytest.mark.parametrize("d", [2, 8, 300])
+    def test_negative_zeros_and_half_points_match(self, rng, d):
+        # (P + P^dagger)/2 lands on 7-decimal half points, or on -0.0 when
+        # both of its terms are -0.0; d = 300 is wider than the probe block
+        halves = np.concatenate([(np.arange(-40, 40) + 0.5) * 1e-7,
+                                 0.5 + (np.arange(-5, 5) + 0.5) * 1e-7,
+                                 [-0.0, -0.0, 0.0]])
+        parts = 2.0 * rng.choice(halves, size=(2, d, d))
+        p = parts[0] + 1j * parts[1]
+        assert checker._sketch_digest(p) == reference_fingerprint(p)
+        zeros = np.full((d, d), -0.0 - 0.0j)
+        zeros.real[0, 0] = 1.0
+        assert checker._sketch_digest(zeros) == reference_fingerprint(zeros)
+        assert checker.fingerprint(zeros) == \
+            checker.fingerprint(np.abs(zeros).astype(complex))
+        assert checker.fingerprint(zeros) == checker.spectral_fingerprint(
+            np.eye(d, 1, dtype=complex), np.array([1.0]))
+
+
 class TestSketchDigest:
     """A digest hashes the rounded sketch V^dagger rho V.  Graph nodes are
     digested from their factor (`spectral_fingerprint`), a dense state by
