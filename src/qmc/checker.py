@@ -3,10 +3,12 @@
 A configuration graph is the explicit-state unfolding of a transition
 system from an initial state: nodes are (location, state) pairs, edges
 follow the system's transitions with their branch probabilities.  Every
-node but the root holds only its state's spectral factor.  Two states at
-one location share a node when no entry differs by more than TOL_FP,
-found by a range query on a scalar key and confirmed on the factors (see
-`build_graph`).
+node, the root included, holds only its state's spectral factor: the
+root is given as a configuration (the CLI gives a ket as its rank-1
+factor, never as a dense state) or as a dense state, decomposed once.
+Two states at one location share a node when no entry differs by more
+than TOL_FP, found by a range query on a scalar key and confirmed on the
+factors (see `build_graph`).
 
 A state's digest names it in traces and reports.  It hashes the rounded
 m x m sketch V^dagger rho V for a fixed, seeded complex Gaussian d x m
@@ -44,7 +46,7 @@ import numpy as np
 from . import linalg as la
 from . import logic as lg
 from . import qts as q
-from .errors import NoTraceAvailable, UnboundAtom
+from .errors import NoTraceAvailable, UnboundAtom, UnknownLocation
 from .linalg import TOL_FP
 
 FP_DECIMALS = 7     # fingerprint rounding, decimal places
@@ -179,10 +181,11 @@ def _within_tol(a: np.ndarray, b: np.ndarray) -> bool:
     return True
 
 
-def build_graph(sys: q.QuantumTransitionSystem, rho0: np.ndarray,
-                bound: int = DEFAULT_BOUND,
-                dedup: bool = True) -> ConfigurationGraph:
-    """Breadth-first configuration graph from (initial location, rho0).
+def build_graph(sys: q.QuantumTransitionSystem, rho0,
+                bound: int = DEFAULT_BOUND) -> ConfigurationGraph:
+    """Breadth-first configuration graph from the root: `rho0` is a
+    `Configuration` at the initial location, or a dense initial state,
+    decomposed once (see `Configuration`).
 
     Frontier nodes are expanded layer by layer, in frontier order.  Nodes
     still unexpanded after `bound` layers leave the graph truncated.
@@ -195,12 +198,16 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0: np.ndarray,
     implies |k(rho) - k(sigma)| <= TOL_FP |v|_1^2, so a range query of
     twice that radius (the slack covers rounding in the keys) finds every
     node the successor can merge into.  v is complex, so k reads the
-    coherences and not only the diagonal.  `dedup=False` skips merging and
-    grows a tree, which only terminates within the bound; it exists to
-    validate that merging never changes verdicts."""
-    root = q.Configuration(sys.initial, np.asarray(rho0, dtype=complex))
+    coherences and not only the diagonal."""
+    if isinstance(rho0, q.Configuration):
+        root = rho0
+        if root.location != sys.initial:
+            raise UnknownLocation(f"root location {root.location!r} is not "
+                                  f"the initial location {sys.initial!r}")
+    else:
+        root = q.Configuration(sys.initial, rho0)
     nodes = [GraphNode(0, root, None, 0)]
-    d = root.state.shape[0]
+    d = len(root.spectrum[0])
     rng = np.random.default_rng(_PROBE_SEED)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     radius = 2.0 * TOL_FP * float(np.abs(v).sum()) ** 2
@@ -217,13 +224,12 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0: np.ndarray,
                 k = _key(factor, v)
                 near = keys.setdefault(succ.location, [])
                 dst = None
-                if dedup:
-                    lo = bisect.bisect_left(near, (k - radius, -1))
-                    hi = bisect.bisect_right(near, (k + radius, len(nodes)))
-                    for cand in sorted(i for _, i in near[lo:hi]):
-                        if _within_tol(nodes[cand].config.factor, factor):
-                            dst = cand
-                            break
+                lo = bisect.bisect_left(near, (k - radius, -1))
+                hi = bisect.bisect_right(near, (k + radius, len(nodes)))
+                for cand in sorted(i for _, i in near[lo:hi]):
+                    if _within_tol(nodes[cand].config.factor, factor):
+                        dst = cand
+                        break
                 if dst is None:
                     dst = len(nodes)
                     nodes.append(GraphNode(dst, succ, None,
@@ -364,12 +370,13 @@ class Verdict:
     timings: dict = None
 
 
-def check(sys: q.QuantumTransitionSystem, rho0: np.ndarray, formula,
+def check(sys: q.QuantumTransitionSystem, rho0, formula,
           bindings: dict, bound: int = DEFAULT_BOUND, label: str = "",
           graph: ConfigurationGraph = None,
           member_tol: float = None, eig_tol: float = None) -> Verdict:
-    """Decide whether the system with initial state rho0 satisfies the
-    formula, exploring at most `bound` steps.  On truncated graphs the
+    """Decide whether the system from the root `rho0`, a dense initial
+    state or a `Configuration` at the initial location (as `build_graph`
+    takes it), satisfies the formula, exploring at most `bound` steps.  On truncated graphs the
     result is `unknown` unless the explored prefix already decides it.
 
     `timings` holds `label_s`, and `build_s` when the graph was built here

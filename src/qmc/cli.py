@@ -70,13 +70,15 @@ def _load_model(cfg: RunConfig) -> qts.QuantumTransitionSystem:
         return qts.parse_model(fh.read())
 
 
-def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
-    """Initial state: a ket expression, or a file holding a density-matrix
-    literal in the model format's complex syntax that is Hermitian,
-    positive semidefinite and of unit trace.  The state is returned
-    read-only, so a `qts.Configuration` can hold it without a copy."""
+def _load_init(cfg: RunConfig,
+               system: qts.QuantumTransitionSystem) -> qts.Configuration:
+    """The root configuration at the initial location.  A ket expression
+    becomes the rank-1 factor of the normalised ket, and is never made
+    dense; a file holds a density-matrix literal in the model format's
+    complex syntax that is Hermitian, positive semidefinite (which the
+    configuration checks as it decomposes it) and of unit trace."""
     spec = cfg.init
-    d = 2 ** n_qubits
+    d = 2 ** system.n_qubits
     if "|" in spec and ">" in spec:
         vec = kets.parse_ket(spec)
         if vec.shape[0] != d:
@@ -90,9 +92,8 @@ def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
         # is the one the unscaled norm gives
         vec = np.ldexp(vec.view(float), -np.frexp(peak)[1]).view(complex)
         vec = vec / np.linalg.norm(vec)
-        rho = np.outer(vec, vec.conj())
-        rho.setflags(write=False)
-        return rho
+        return qts.Configuration.from_factor(system.initial, vec[:, None],
+                                             np.ones(1))
     if not os.path.exists(spec):
         raise QmcError(f"initial state file {spec!r} does not exist")
     with open(spec, encoding="utf-8") as fh:
@@ -109,10 +110,7 @@ def _load_init(cfg: RunConfig, n_qubits: int) -> np.ndarray:
     if abs(tr - 1.0) > la.TOL_HERM_STATE or tr <= 0.0:
         raise QmcError(f"density matrix trace is {tr}, expected 1")
     rho = (rho + rho.conj().T) / (2.0 * tr)
-    if np.linalg.eigvalsh(rho).min() < -la.TOL_HERM_STATE:
-        raise QmcError("density matrix is not positive semidefinite")
-    rho.setflags(write=False)
-    return rho
+    return qts.Configuration(system.initial, rho)
 
 
 def _json_dump(obj) -> str:
@@ -138,7 +136,7 @@ def _trace_json(trace):
 
 def cmd_check(cfg: RunConfig) -> int:
     system = _load_model(cfg)
-    rho0 = _load_init(cfg, system.n_qubits)
+    root = _load_init(cfg, system)
     if cfg.assertion is None:
         raise QmcError("check needs --assert")
     with open(cfg.assertion, encoding="utf-8") as fh:
@@ -146,10 +144,10 @@ def cmd_check(cfg: RunConfig) -> int:
     reports = []
     worst = EXIT_HOLDS
     t0 = time.perf_counter()
-    graph = checker.build_graph(system, rho0, cfg.bound)
+    graph = checker.build_graph(system, root, cfg.bound)
     build_s = time.perf_counter() - t0
     for assertion in doc.assertions:
-        verdict = checker.check(system, rho0, assertion.formula,
+        verdict = checker.check(system, root, assertion.formula,
                                 doc.bindings, bound=cfg.bound,
                                 label=assertion.label, graph=graph,
                                 member_tol=cfg.tol_member,
@@ -209,7 +207,7 @@ def _mutual_residual(a: la.Subspace, b: la.Subspace) -> float:
 
 def cmd_reach(cfg: RunConfig) -> int:
     system = _load_model(cfg)
-    rho0 = _load_init(cfg, system.n_qubits)
+    rho0 = _load_init(cfg, system).state
     channel = _single_location_channel(system)
     chain = reach.QuantumMarkovChain(channel.dim, channel)
     eig = cfg.tol_eig if cfg.tol_eig is not None else la.TOL_EIG
@@ -258,8 +256,7 @@ def cmd_reach(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     system = _load_model(cfg)
-    rho0 = _load_init(cfg, system.n_qubits)
-    root = qts.Configuration(system.initial, rho0)
+    root = _load_init(cfg, system)
 
     def grow(config, depth):
         entry = {"location": config.location,

@@ -30,9 +30,10 @@ TOL_ORTHO = 1e-9    # orthonormality defect allowed in a stored basis
 TOL_MEMBER = 1e-7   # relative residual for membership tests
 TOL_HERM = 1e-9     # Hermiticity defect allowed in density matrices
 # Hermiticity (and, for an initial-state file, trace) defect a hand-built
-# state may carry.  It is looser than TOL_HERM because such a state only
-# starts a graph: a hand-built state with rounded entries is accepted, and
-# Configuration.support applies TOL_HERM before any support is read.
+# state may carry, and the most negative eigenvalue it may have.  A
+# Configuration built from a dense state refuses a Hermiticity defect above
+# it as malformed (DimensionMismatch), and one above TOL_HERM as an invalid
+# density matrix, both before it decomposes the state.
 TOL_HERM_STATE = 1e3 * TOL_HERM
 TOL_NORM = 1e-9     # normalisation defect (unit vectors, Kraus sums)
 TOL_RECON = 1e-10   # Schmidt reconstruction error

@@ -11,15 +11,14 @@ touch, and `step` contracts only the target axes of the state.  The
 full-register channel `Transition.op` is built on first use, by `reach`
 and the tests; nothing on the parse -> build -> check path builds it.
 
-A configuration carries its state's spectral factor (U, lambda), state =
-U diag(lambda) U^dagger.  Stepping maps the factor through the Kraus
-operators and one thin SVD, so only a configuration built by hand (such as
-the root of a graph) ever needs an eigendecomposition, of the rows and
-columns its state occupies, and the checker reads every node's support
-and trace digest straight from the factor.  A configuration that `step`
-builds holds nothing but the factor, O(d r) numbers for a rank-r state:
-its dense state is rebuilt only when it is read, and nothing on the check
-path reads it.
+A configuration holds nothing but its state's spectral factor (U,
+lambda), state = U diag(lambda) U^dagger: O(d r) numbers for a rank-r
+state.  Stepping maps the factor through the Kraus operators and one thin
+SVD, so only a configuration built from a dense state needs an
+eigendecomposition, of the rows and columns its state occupies, and the
+checker reads every node's support and trace digest straight from the
+factor.  The dense state is rebuilt only when it is read, and nothing on
+the check path reads it.
 
 The edge constructors `gate_edge`, `kraus_edge` and `measure_edge` are
 the one place a transition is validated: `channel.check_targets` checks
@@ -212,35 +211,35 @@ class QuantumTransitionSystem:
 
 
 class Configuration:
-    """A location paired with a normalised state; `probability` is the mass
-    of the branch that led here.
+    """A location paired with a normalised state, held as nothing but its
+    spectral factor `spectrum` = (U, lambda), state = U diag(lambda)
+    U^dagger, with lambda positive and descending and U orthonormal with
+    as many columns as lambda has entries; `probability` is the mass of
+    the branch that led here.
 
-    A configuration built by hand, such as the root of a graph, holds its
-    dense state (a read-only complex array as it is, anything else as a
-    read-only copy), checked for finite entries and Hermiticity (a block of
-    rows at a time) and unit trace; its spectral factor is computed the
-    first time `spectrum` is read, by one `eigh` of the rows and columns
-    the state occupies.  A
-    configuration that `step` builds (`from_factor`) holds only the factor
-    (U, lambda), checked at O(d r^2): U orthonormal and lambda summing to
-    1.  Its `state` is rebuilt on every read and never kept."""
+    Built from a dense state, a configuration checks it for finite
+    entries, Hermiticity (a block of rows at a time), unit trace and
+    positive semidefiniteness, and decomposes it once, by one `eigh` of the
+    rows and columns it occupies; the dense state is not kept.  Built by
+    `from_factor`, as `step` builds every successor and the CLI a ket
+    root, it holds the factor it is given, checked at O(d r^2).  Either
+    way `state` is rebuilt on every read and never kept."""
 
-    __slots__ = ("location", "probability", "_state", "_spectrum",
-                 "_herm_defect")
+    __slots__ = ("location", "probability", "spectrum")
 
     def __init__(self, location: str, state, probability: float = 1.0):
-        if not (isinstance(state, np.ndarray) and state.dtype == complex
-                and not state.flags.writeable):
-            state = np.array(state, dtype=complex)
+        state = np.asarray(state, dtype=complex)
         if state.ndim != 2 or state.shape[0] != state.shape[1]:
             raise DimensionMismatch(f"state shape {state.shape}")
-        # kept so that `support` repeats linalg.support's stricter check
-        # without another pass over the matrix
+        d = len(state)
         defect = 0.0
+        # the live indices, those whose row or column has a nonzero entry:
+        # the others span a zero block, which holds no kept eigenvalue
+        live = np.zeros(d, dtype=bool)
         # a finite entry so large that a difference or the trace overflows
         # fails its check as inf, without a warning
         with np.errstate(over="ignore"):
-            for rows in row_blocks(*state.shape):
+            for rows in row_blocks(d, d):
                 diff = np.conjugate(state[:, rows].T)
                 # refused before the subtraction, which would warn on them
                 if not (np.isfinite(diff).all()
@@ -253,11 +252,29 @@ class Configuration:
                     raise DimensionMismatch(
                         "configuration state is not Hermitian")
                 defect = max(defect, block)
+                nonzero = state[rows] != 0
+                live[rows] |= nonzero.any(axis=1)
+                live |= nonzero.any(axis=0)
             tr = float(np.trace(state).real)
         if not abs(tr - 1.0) <= TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
-        state.setflags(write=False)
-        self._init(location, probability, state, None, defect)
+        if defect > TOL_HERM:
+            raise InvalidDensityMatrix("matrix is not Hermitian")
+        # so |0...0><0...0| costs a 1 x 1 `eigh`, and a state with every
+        # index live is decomposed as it is given
+        idx = np.flatnonzero(live)
+        w, v = np.linalg.eigh(
+            state if len(idx) == d else state[np.ix_(idx, idx)])
+        if w[0] < -TOL_HERM_STATE:
+            raise InvalidDensityMatrix(
+                "density matrix is not positive semidefinite")
+        keep = w > _SPECTRUM_FLOOR * w[-1]
+        vecs = v[:, keep][:, ::-1]
+        if len(idx) < d:
+            scattered = np.zeros((d, vecs.shape[1]), dtype=complex)
+            scattered[idx] = vecs
+            vecs = scattered
+        self._init(location, probability, (vecs, w[keep][::-1]))
 
     @classmethod
     def from_factor(cls, location: str, vecs: np.ndarray, vals: np.ndarray,
@@ -275,62 +292,33 @@ class Configuration:
         vecs.setflags(write=False)
         vals.setflags(write=False)
         config = object.__new__(cls)
-        config._init(location, probability, None, (vecs, vals), 0.0)
+        config._init(location, probability, (vecs, vals))
         return config
 
-    def _init(self, location, probability, state, spectrum, herm_defect):
+    def _init(self, location, probability, spectrum):
         if not 0.0 < probability <= 1.0 + TOL_PROB_EXCESS:
             raise DimensionMismatch(
                 f"branch probability {probability} outside (0, 1]")
         self.location = location
         self.probability = probability
-        self._state = state
-        self._spectrum = spectrum
-        self._herm_defect = herm_defect
+        self.spectrum = spectrum
 
     @property
     def state(self) -> np.ndarray:
-        """The dense state: the one held, or U diag(lambda) U^dagger rebuilt
-        in a fresh array and Hermitian-symmetrized in place, which makes it
-        exactly Hermitian."""
-        if self._state is not None:
-            return self._state
-        u, lam = self._spectrum
+        """The dense state P = U diag(lambda) U^dagger, rebuilt in a fresh
+        array and made exactly Hermitian as (P + P^dagger)/2 in place: each
+        block of rows averages its tile left of and on the diagonal with
+        the transposed columns above it, then mirrors it there, so no
+        second d x d array is built."""
+        u, lam = self.spectrum
         post = (u * lam) @ u.conj().T
-        post += post.conj().T
-        post /= 2.0
+        for rows in row_blocks(len(post), len(post)):
+            tile = np.conjugate(post[:rows.stop, rows].T)
+            tile += post[rows, :rows.stop]
+            tile /= 2.0
+            post[rows, :rows.stop] = tile
+            np.conjugate(tile[:, :rows.start].T, out=post[:rows.start, rows])
         return post
-
-    @property
-    def spectrum(self) -> tuple:
-        """(U, lambda) with state = U diag(lambda) U^dagger, lambda
-        descending and U with as many columns as lambda has entries, at
-        most d.  Eigenvalues at or below _SPECTRUM_FLOOR times the largest,
-        negative ones included, are float noise and left out.
-
-        A held state is decomposed on its live indices, those whose row or
-        column has a nonzero entry: the others span a zero block, which
-        holds no kept eigenvalue.  So |0...0><0...0| costs a 1 x 1 `eigh`,
-        and a state with every index live is decomposed as it is held."""
-        if self._spectrum is None:
-            state = self._state
-            d = len(state)
-            live = np.zeros(d, dtype=bool)
-            for rows in row_blocks(d, d):
-                nonzero = state[rows] != 0
-                live[rows] |= nonzero.any(axis=1)
-                live |= nonzero.any(axis=0)
-            idx = np.flatnonzero(live)
-            w, v = np.linalg.eigh(
-                state if len(idx) == d else state[np.ix_(idx, idx)])
-            keep = w > _SPECTRUM_FLOOR * w[-1]
-            vecs = v[:, keep][:, ::-1]
-            if len(idx) < d:
-                scattered = np.zeros((d, vecs.shape[1]), dtype=complex)
-                scattered[idx] = vecs
-                vecs = scattered
-            self._spectrum = (vecs, w[keep][::-1])
-        return self._spectrum
 
     @property
     def factor(self) -> np.ndarray:
@@ -341,8 +329,6 @@ class Configuration:
     def support(self, rtol: float = TOL_EIG) -> Subspace:
         """The state's support as `linalg.support` defines it, read from
         the spectral factor."""
-        if self._herm_defect > TOL_HERM:
-            raise InvalidDensityMatrix("matrix is not Hermitian")
         return spectral_support(*self.spectrum, rtol)
 
 

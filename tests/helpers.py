@@ -111,20 +111,6 @@ def trace_distance(a, b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
-def dense_oracle_state(gates, psi):
-    """Apply a list of full-register unitaries in order to a state vector."""
-    out = np.asarray(psi, dtype=complex)
-    for u in gates:
-        out = u @ out
-    return out
-
-
-def random_loop_system(rng, n_qubits):
-    """Single-location system looping on a random trace-preserving channel."""
-    e = random_channel(rng, n_qubits, n_kraus=int(rng.integers(1, 4)))
-    return qts.build_sequential(e, n_qubits, 0)
-
-
 _CLOSING_GATES_1Q = ("I", "X", "Z", "H", "S")
 
 
@@ -287,6 +273,28 @@ def dense_build_graph(system, rho0, bound=checker.DEFAULT_BOUND):
     closure = checker.COMPLETE if not frontier else ("truncated", bound)
     return checker.ConfigurationGraph(system, tuple(nodes), closure)
 
+
+def unmerged_build_graph(system, rho0, bound):
+    """The unfolding `checker.build_graph` makes, without merging: every
+    successor is a new node, so the graph is a tree that is only ever
+    closed by sink locations and is otherwise truncated at `bound`."""
+    nodes = [checker.GraphNode(0, qts.Configuration(system.initial, rho0),
+                               None, 0)]
+    frontier = [0]
+    for _ in range(bound):
+        next_frontier = []
+        for index in frontier:
+            edges = []
+            for succ, p in qts.step(system, nodes[index].config):
+                edges.append((len(nodes), p))
+                next_frontier.append(len(nodes))
+                nodes.append(checker.GraphNode(len(nodes), succ, None,
+                                               nodes[index].depth + 1))
+            nodes[index].complete = True
+            nodes[index].out = tuple(edges)
+        frontier = next_frontier
+    closure = checker.COMPLETE if not frontier else ("truncated", bound)
+    return checker.ConfigurationGraph(system, tuple(nodes), closure)
 
 
 class ReferenceLabeling:

@@ -12,12 +12,14 @@ from qmc import checker
 from qmc import linalg as la
 from qmc import logic as lg
 from qmc import qts
-from qmc.errors import DimensionMismatch, NoTraceAvailable, UnboundAtom
+from qmc.errors import (DimensionMismatch, InvalidDensityMatrix,
+                        NoTraceAvailable, UnboundAtom, UnknownLocation)
 
 from helpers import (ReferenceLabeling, dense_build_graph, dense_step,
                      random_closing_qts, random_closing_state,
                      random_density, random_state_formula, random_subspace,
-                     random_unit_vector, reference_fingerprint)
+                     random_unit_vector, reference_fingerprint,
+                     unmerged_build_graph)
 from oracle import PathOracle
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -90,6 +92,22 @@ class TestBuildGraph:
 
 
 class TestCheckBasics:
+    def test_non_psd_root_is_refused(self):
+        # Hermitian with unit trace, but eigenvalues 1.4 and -0.4: kept as
+        # its 1.4 alone, it would give a measurement's two branches 0.7
+        # each and make [plus] hold
+        rho = [[0.5, 0.9], [0.9, 0.5]]
+        system = qts.QuantumTransitionSystem(1, ("l0",), "l0", tuple(
+            qts.measure_edge("l0", "l0", (1,), outcome, 1)
+            for outcome in (0, 1)))
+        plus = lg.parse_formula("[plus]")
+        for build in (lambda: qts.Configuration("l0", rho),
+                      lambda: checker.build_graph(system, rho),
+                      lambda: checker.check(system, rho, plus, BINDINGS_1Q)):
+            with pytest.raises(InvalidDensityMatrix,
+                               match="not positive semidefinite"):
+                build()
+
     def test_true_holds_everywhere(self):
         v = checker.check(id_loop_system(), pure(KET0), lg.TRUE, {}, bound=8)
         assert v.result == "holds"
@@ -511,11 +529,12 @@ class TestKeyRangeDedup:
 
     def test_equal_diagonals_never_merge(self):
         # |+> and |-> differ only in their coherences
+        assert np.array_equal(np.diag(pure(PLUS)), np.diag(pure(MINUS)))
         system = qts.build_sequential(ch.gate_library("Z"), 1, 0)
         graph = checker.build_graph(system, pure(PLUS), bound=8)
         states = [n.config.state for n in graph.nodes]
         assert len(states) == 2
-        assert np.array_equal(np.diag(states[0]), np.diag(states[1]))
+        assert np.abs(states[0] - pure(PLUS)).max() < 1e-12
         assert np.abs(states[1] - pure(MINUS)).max() < 1e-12
 
 
@@ -524,11 +543,10 @@ class TestFactorOnlyNodes:
         system = qts.teleportation_qts()
         graph = checker.build_graph(
             system, qts.teleportation_input(random_unit_vector(rng, 2)))
-        # a held state reads back as the same array; a factor-only node
+        # every node, the root included, holds only its factor and
         # rebuilds its state on every read
-        assert graph.root.config.state is graph.root.config.state
         assert all(n.config.state is not n.config.state
-                   for n in graph.nodes[1:])
+                   for n in graph.nodes)
         assert all(n._digest is None for n in graph.nodes)
         node = graph.nodes[-1]
         assert node.digest == checker.fingerprint(node.config.state)
@@ -551,6 +569,40 @@ class TestFactorOnlyNodes:
         assert peak < 4 * rho0.nbytes
 
 
+class TestKetRoot:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3))
+    def test_factor_and_dense_roots_agree(self, seed, n_qubits, n_locations):
+        rng = np.random.default_rng(seed)
+        system = random_closing_qts(rng, n_qubits, n_locations)
+        d = 2 ** n_qubits
+        ket = np.zeros(d, dtype=complex)
+        idx = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+        ket[idx] = random_unit_vector(rng, len(idx))
+        root = qts.Configuration.from_factor(system.initial, ket[:, None],
+                                             np.ones(1))
+        bindings = {"a": span(random_unit_vector(rng, d)),
+                    "b": span(np.eye(d)[int(rng.integers(0, d))])}
+        for _ in range(3):
+            formula = random_state_formula(rng, ["a", "b"], 2)
+            got, want = (checker.check(system, rho0, formula, bindings,
+                                       bound=16)
+                         for rho0 in (root, np.outer(ket, ket.conj())))
+            assert (got.result, got.closure, got.nodes, got.edges) == \
+                (want.result, want.closure, want.nodes, want.edges)
+            assert (got.trace is None) == (want.trace is None)
+            for a, b in zip(got.trace or (), want.trace or (), strict=True):
+                assert (a.location, a.state_digest) == \
+                    (b.location, b.state_digest)
+                assert abs(a.probability - b.probability) <= 1e-12
+
+    def test_root_elsewhere_is_refused(self):
+        root = qts.Configuration.from_factor("l1", KET0[:, None].copy(),
+                                             np.ones(1))
+        system = qts.QuantumTransitionSystem(1, ("l0", "l1"), "l0", ())
+        with pytest.raises(UnknownLocation):
+            checker.build_graph(system, root)
+
+
 class TestDedupSoundness:
     def test_dedup_never_changes_decided_verdicts(self, rng):
         for _ in range(8):
@@ -559,8 +611,7 @@ class TestDedupSoundness:
             formula = random_state_formula(rng, list(BINDINGS_1Q), 2)
             merged = checker.check(system, rho0, formula, BINDINGS_1Q,
                                    bound=24)
-            plain_graph = checker.build_graph(system, rho0, bound=7,
-                                              dedup=False)
+            plain_graph = unmerged_build_graph(system, rho0, bound=7)
             plain = checker.check(system, rho0, formula, BINDINGS_1Q,
                                   graph=plain_graph)
             if plain.result != "unknown" and merged.result != "unknown":

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qmc import channel as ch
-from qmc import cli, qts
+from qmc import cli, kets, qts
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -20,6 +20,22 @@ def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def ghz_noisy_files(tmp_path, n):
+    """GHZ-noisy on n qubits (H[1]; CX[i, i+1]; bit_flip(0.9) on qubit 1)
+    and two assertions about the GHZ span: (model path, assertion path)."""
+    ir = qts.Gate((1,), name="H")
+    for q in range(1, n):
+        ir = qts.Seq(ir, qts.Gate((q, q + 1), name="CX"))
+    ir = qts.Seq(ir, qts.Gate((1,), op=ch.noise_library("bit_flip", 0.9)))
+    model = tmp_path / f"ghz{n}.qts"
+    model.write_text(qts.serialize_model(qts.compile_circuit(ir, n)))
+    spec = tmp_path / f"ghz{n}.ctql"
+    spec.write_text(f'let g = span {{ "|{"0" * n}>", "|{"1" * n}>" }}\n'
+                    'assert "reaches_ghz" : A (true U [g])\n'
+                    'assert "reaches_outside" : A (true U [~g])\n')
+    return model, spec
 
 
 class TestCheck:
@@ -137,19 +153,10 @@ class TestCheck:
         assert "l0" in err
 
     def test_holds_one_copy_of_the_initial_state(self, capsys, tmp_path):
-        # GHZ-noisy on 10 qubits from |0...0>: rho0 is 16 MiB, and the
-        # root configuration holds the read-only rho0 the CLI loaded
+        # GHZ-noisy on 10 qubits from |0...0>: a dense rho0 would be 16
+        # MiB, and the ket root is its rank-1 factor, never made dense
         n = 10
-        ir = qts.Gate((1,), name="H")
-        for q in range(1, n):
-            ir = qts.Seq(ir, qts.Gate((q, q + 1), name="CX"))
-        ir = qts.Seq(ir, qts.Gate((1,), op=ch.noise_library("bit_flip", 0.9)))
-        model = tmp_path / "ghz10.qts"
-        model.write_text(qts.serialize_model(qts.compile_circuit(ir, n)))
-        spec = tmp_path / "ghz10.ctql"
-        spec.write_text(f'let g = span {{ "|{"0" * n}>", "|{"1" * n}>" }}\n'
-                        'assert "reaches_ghz" : A (true U [g])\n'
-                        'assert "reaches_outside" : A (true U [~g])\n')
+        model, spec = ghz_noisy_files(tmp_path, n)
         tracemalloc.start()
         try:
             code = cli.main(["check", "--model", str(model),
@@ -159,7 +166,28 @@ class TestCheck:
             tracemalloc.stop()
         assert code == cli.EXIT_FAILS
         assert "reaches_ghz: holds" in capsys.readouterr().out
-        assert peak < 2.5 * 16 * 4 ** n
+        assert peak < 0.5 * 16 * 4 ** n
+
+    def test_thirteen_qubit_check_stays_small(self, tmp_path):
+        # a dense rho0 at n = 13 is 1 GiB; the whole process stays under
+        # 200 MB of resident memory
+        n = 13
+        model, spec = ghz_noisy_files(tmp_path, n)
+        script = (
+            "import resource, sys\n"
+            "from qmc import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "scale = 1 if sys.platform == 'darwin' else 1024\n"
+            "print(code, rss * scale, file=sys.stderr)\n")
+        result = subprocess.run(
+            [sys.executable, "-c", script, "check", "--model", str(model),
+             "--assert", str(spec), "--init", f"|{'0' * n}>"],
+            capture_output=True, text=True)
+        assert "reaches_ghz: holds" in result.stdout
+        code, rss = map(int, result.stderr.split())
+        assert code == cli.EXIT_FAILS
+        assert rss < 200e6
 
     def test_timings_flag_adds_numbers(self, capsys):
         _, out, _ = run_cli(
@@ -169,6 +197,37 @@ class TestCheck:
         report = json.loads(out)
         assert report["timings"]["build_s"] > 0.0
         assert set(report["reports"][0]["timings"]) == {"label_s"}
+
+
+class TestKetRoot:
+    """A ket `--init` becomes the rank-1 factor of the normalised ket."""
+
+    KETS = ["(|000000> + |111111>)/sqrt2",
+            " + ".join(f"|{x:06b}>" for x in range(64))]
+
+    @pytest.mark.parametrize("init", KETS, ids=["ghz", "uniform64"])
+    def test_ket_root_is_never_decomposed(self, capsys, tmp_path, init,
+                                          eigh_calls):
+        model, spec = ghz_noisy_files(tmp_path, 6)
+        for args in (["check", "--assert", str(spec)],
+                     ["simulate", "--depth", "4"]):
+            code, out, _ = run_cli(capsys, *args, "--model", str(model),
+                                   "--init", init)
+            assert code in (cli.EXIT_HOLDS, cli.EXIT_FAILS)
+            assert out
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("init", KETS, ids=["ghz", "uniform64"])
+    def test_root_spectrum_is_the_normalised_ket(self, tmp_path, init):
+        model, _ = ghz_noisy_files(tmp_path, 6)
+        system = qts.parse_model(model.read_text())
+        root = cli._load_init(cli.RunConfig(str(model), init=init), system)
+        vecs, vals = root.spectrum
+        ket = kets.parse_ket(init)
+        assert root.location == system.initial
+        assert np.array_equal(vals, [1.0])
+        assert np.allclose(vecs[:, 0], ket / np.linalg.norm(ket),
+                           rtol=0.0, atol=1e-15)
 
 
 class TestReach:

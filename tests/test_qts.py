@@ -26,20 +26,6 @@ def pure(v):
     return np.outer(v, v.conj())
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """The arrays passed to np.linalg.eigh during the test, in order."""
-    eigh = np.linalg.eigh
-    calls = []
-
-    def recording_eigh(a, *args, **kwargs):
-        calls.append(a)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    return calls
-
-
 def run_to_depth(system, rho0, depth):
     frontier = [qts.Configuration(system.initial, rho0)]
     for _ in range(depth):
@@ -279,25 +265,24 @@ class TestFactoredStep:
         # index 2 has a zero row but a nonzero column entry, within the
         # Hermiticity tolerance: it is live
         rho = np.zeros((d, d), dtype=complex)
-        rho[0, 0], rho[0, 2] = 1.0, 1e-7
+        rho[0, 0], rho[0, 2] = 1.0, la.TOL_HERM
         eigh_calls.clear()
-        qts.Configuration("l0", rho).spectrum
+        qts.Configuration("l0", rho)
         assert [a.shape for a in eigh_calls] == [(2, 2)]
 
     def test_fully_live_root_is_decomposed_as_held(self, rng, eigh_calls):
-        config = qts.Configuration("l0", random_density(rng, 32, 2))
-        config.spectrum
+        rho = random_density(rng, 32, 2)
+        qts.Configuration("l0", rho)
         assert len(eigh_calls) == 1
-        assert eigh_calls[0].shape == (32, 32)
-        assert eigh_calls[0] is config.state
+        assert eigh_calls[0] is rho
 
     def test_support_keeps_hermiticity_check(self):
-        # within the configuration's tolerance, outside the support's
+        # within the configuration's tolerance, outside the support's: the
+        # state is refused as it is built
         rho = pure(KET0).astype(complex)
         rho[0, 1] = 1e-7
-        config = qts.Configuration("l0", rho)
-        with pytest.raises(InvalidDensityMatrix):
-            config.support()
+        with pytest.raises(InvalidDensityMatrix, match="not Hermitian"):
+            qts.Configuration("l0", rho)
 
 
 class TestGateLocal:
@@ -663,8 +648,8 @@ class TestConfiguration:
                 qts.Configuration("l0", rho).support()
 
     def test_construction_peaks_under_one_and_a_half_states(self):
-        # a 10-qubit |0...0><0...0| root: the kept copy, plus one block of
-        # rows at a time for the Hermiticity check
+        # a 10-qubit |0...0><0...0| root: one block of rows at a time for
+        # the checks, and a 1 x 1 eigh; nothing dense is kept
         d = 2 ** 10
         rho0 = np.zeros((d, d), dtype=complex)
         rho0[0, 0] = 1.0
@@ -678,15 +663,41 @@ class TestConfiguration:
         assert peak < 1.5 * rho0.nbytes
 
     def test_holds_a_read_only_complex_state_without_copying(self, rng):
-        rho = random_density(rng, 4)
-        rho.setflags(write=False)
-        assert qts.Configuration("l0", rho).state is rho
-        # writable or non-complex input is copied, and the copy read-only
-        for given in (random_density(rng, 4), np.diag([0.5, 0.5])):
-            held = qts.Configuration("l0", given).state
-            assert held is not given
-            assert not held.flags.writeable
-            assert np.array_equal(held, given)
+        # nothing dense is held, whatever the input: only the factor, and
+        # the input is left as it was given
+        frozen = random_density(rng, 4)
+        frozen.setflags(write=False)
+        for given in (frozen, random_density(rng, 4, 2),
+                      np.diag([0.5, 0.5])):
+            before = given.copy()
+            config = qts.Configuration("l0", given)
+            assert set(qts.Configuration.__slots__) == {
+                "location", "probability", "spectrum"}
+            assert not hasattr(config, "__dict__")
+            vecs, vals = config.spectrum
+            assert vecs.shape == (len(given), len(vals))
+            assert config.state is not given
+            assert np.abs(config.state - given).max() < 1e-12
+            assert np.array_equal(given, before)
+            assert given.flags.writeable == (given is not frozen)
+
+    def test_state_peaks_near_its_result(self, rng):
+        # a rank-2 state at n = 10, 16 MiB, symmetrized a block of rows at
+        # a time into (P + P^dagger)/2 with no second d x d array
+        d = 2 ** 10
+        vecs = np.linalg.qr(rng.normal(size=(d, 2))
+                            + 1j * rng.normal(size=(d, 2)))[0]
+        vals = np.array([0.75, 0.25])
+        config = qts.Configuration.from_factor("l0", vecs, vals)
+        tracemalloc.start()
+        try:
+            state = config.state
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * state.nbytes
+        want = (vecs * vals) @ vecs.conj().T
+        assert np.array_equal(state, (want + want.conj().T) / 2.0)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(DimensionMismatch):
