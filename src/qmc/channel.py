@@ -31,15 +31,14 @@ on its target qubits and `qts.step` contracts only those axes; the dense
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
-                     NormalisationViolation, RepeatedQubit, TargetOutOfRange,
-                     UnknownGate)
-from .linalg import TOL_HERM, TOL_NORM, TOL_PROB, _frozen, is_hermitian
+from .errors import (BadParameter, DimensionMismatch, NormalisationViolation,
+                     RepeatedQubit, TargetOutOfRange, UnknownGate)
+from .linalg import TOL_NORM, _frozen
 
 
 class TraceClass(Enum):
@@ -60,7 +59,6 @@ class SuperOperator:
     n_qubits: int
     kraus: tuple
     trace_class: TraceClass = TraceClass.PRESERVING
-    _matrix_rep: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -117,13 +115,6 @@ class SuperOperator:
         n = int(round(math.log2(u.shape[0])))
         return cls(n, (u,), TraceClass.PRESERVING)
 
-    @classmethod
-    def identity(cls, n_qubits: int) -> "SuperOperator":
-        return cls(n_qubits, (np.eye(2 ** n_qubits),), TraceClass.PRESERVING)
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return apply(self, rho)
-
 
 def apply(e: SuperOperator, rho: np.ndarray) -> np.ndarray:
     """Channel application sum_i E_i rho E_i^dagger."""
@@ -138,12 +129,9 @@ def apply(e: SuperOperator, rho: np.ndarray) -> np.ndarray:
 
 
 def matrix_rep(e: SuperOperator) -> np.ndarray:
-    """The 4^n x 4^n matrix sum_i kron(E_i, conj(E_i)); cached per channel."""
-    if not e._matrix_rep:
-        m = sum(np.kron(k, k.conj()) for k in e.kraus)
-        m.setflags(write=False)
-        e._matrix_rep.append(m)
-    return e._matrix_rep[0]
+    """The 4^n x 4^n matrix sum_i kron(E_i, conj(E_i)), built on every
+    call."""
+    return sum(np.kron(k, k.conj()) for k in e.kraus)
 
 
 def compose_sequential(e: SuperOperator, f: SuperOperator) -> SuperOperator:
@@ -246,25 +234,6 @@ def computational_measurement(n_qubits: int) -> Measurement:
     return Measurement(n_qubits, branches)
 
 
-def measure(m: Measurement, rho: np.ndarray):
-    """All outcomes with probability above TOL_PROB, as
-    (outcome, probability, normalised post state) triples."""
-    rho = np.asarray(rho, dtype=complex)
-    d = 2 ** m.n_qubits
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"state shape {rho.shape} vs dim {d}")
-    if not is_hermitian(rho, TOL_HERM):
-        raise InvalidDensityMatrix("state is not Hermitian")
-    results = []
-    for outcome in sorted(m.branches):
-        mat = m.branches[outcome]
-        post = mat @ rho @ mat.conj().T
-        p = float(np.trace(post).real)
-        if p > TOL_PROB:
-            results.append((outcome, p, post / p))
-    return results
-
-
 def entangled_reference(d: int) -> np.ndarray:
     """The unnormalised maximally entangled vector sum_k |kk> on C^d (x) C^d."""
     return np.eye(d).reshape(-1).astype(complex)
@@ -337,11 +306,6 @@ def gate_matrix(name: str, *params: float) -> np.ndarray:
         return (math.cos(theta / 2) * np.eye(2)
                 - 1j * math.sin(theta / 2) * pauli)
     raise UnknownGate(f"unknown gate {name!r}")
-
-
-def gate_library(name: str, *params: float) -> SuperOperator:
-    """The unitary channel of a named gate constant."""
-    return SuperOperator.unitary(gate_matrix(name, *params))
 
 
 def gate_on_qubits(name: str, wires, total: int, *params: float) -> SuperOperator:

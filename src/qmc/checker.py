@@ -8,7 +8,8 @@ root is given as a configuration (the CLI gives a ket as its rank-1
 factor, never as a dense state) or as a dense state, decomposed once.
 Two states at one location share a node when no entry differs by more
 than TOL_FP, found by a range query on a scalar key and confirmed on the
-factors (see `build_graph`).
+factors (see `build_graph`).  The key reads the state along the first
+probe of the digest's block below, so one seeded draw serves both.
 
 A state's digest names it in traces and reports.  It hashes the rounded
 m x m sketch V^dagger rho V for a fixed, seeded complex Gaussian d x m
@@ -52,7 +53,6 @@ from .linalg import TOL_FP
 FP_DECIMALS = 7     # fingerprint rounding, decimal places
 SKETCH_PROBES = 16  # columns of the digest's probe block, at most d
 DEFAULT_BOUND = 64  # exploration depth when none is given
-_PROBE_SEED = 0     # seed of the dedup key's random vector
 _SKETCH_SEED = 1    # seed of the digest's probe block
 
 COMPLETE = "complete"
@@ -126,10 +126,6 @@ class ConfigurationGraph:
     _supports: dict = field(default_factory=dict, repr=False)
 
     @property
-    def root(self) -> GraphNode:
-        return self.nodes[0]
-
-    @property
     def edge_count(self) -> int:
         return sum(len(n.out) for n in self.nodes)
 
@@ -194,11 +190,13 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0,
     state differs from its own by at most TOL_FP in every entry.  Both
     states are compared as L L^dagger from their spectral factors.  The
     candidates come from a sorted list of keys k(rho) = <v|rho|v> per
-    location, for one fixed random vector v: max|rho - sigma| <= TOL_FP
-    implies |k(rho) - k(sigma)| <= TOL_FP |v|_1^2, so a range query of
-    twice that radius (the slack covers rounding in the keys) finds every
-    node the successor can merge into.  v is complex, so k reads the
-    coherences and not only the diagonal."""
+    location, for v the first column of the digest's probe block V (see
+    `_probes`): max|rho - sigma| <= TOL_FP implies |k(rho) - k(sigma)| <=
+    TOL_FP |v|_1^2, so a range query of twice that radius (the slack
+    covers rounding in the keys) finds every node the successor can merge
+    into.  v is complex, so k reads the coherences and not only the
+    diagonal.  The graph does not depend on v: the query is sound for any
+    v, and the exact check picks the lowest-indexed match."""
     if isinstance(rho0, q.Configuration):
         root = rho0
         if root.location != sys.initial:
@@ -208,8 +206,7 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0,
         root = q.Configuration(sys.initial, rho0)
     nodes = [GraphNode(0, root, None, 0)]
     d = len(root.spectrum[0])
-    rng = np.random.default_rng(_PROBE_SEED)
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v = _probes(d)[0].conj()
     radius = 2.0 * TOL_FP * float(np.abs(v).sum()) ** 2
     keys = {root.location: [(_key(root.factor, v), 0)]}
     frontier = [0]

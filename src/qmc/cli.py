@@ -114,7 +114,38 @@ def _load_init(cfg: RunConfig,
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """`json.dumps(obj, indent=2)` and a newline, for dicts with string
+    keys, lists and JSON scalars, written with an explicit stack so that
+    no depth of nesting can exhaust the interpreter's."""
+    out = []
+    stack = []  # per open container: (iterator over its items, closer)
+    end = object()
+    value = obj
+    while True:
+        if isinstance(value, (dict, list, tuple)) and value:
+            is_dict = isinstance(value, dict)
+            out.append("{" if is_dict else "[")
+            stack.append((iter(value.items() if is_dict else value),
+                          "}" if is_dict else "]"))
+            sep = ""
+        else:
+            out.append(json.dumps(value))
+            sep = ","
+        while stack:
+            items, closer = stack[-1]
+            item = next(items, end)
+            if item is end:
+                stack.pop()
+                out.append("\n" + "  " * len(stack) + closer)
+                continue
+            out.append(sep + "\n" + "  " * len(stack))
+            if closer == "}":
+                out.append(json.dumps(item[0]) + ": ")
+                item = item[1]
+            value = item
+            break
+        else:
+            return "".join(out) + "\n"
 
 
 def _sig(x: float) -> str:
@@ -215,7 +246,7 @@ def cmd_reach(cfg: RunConfig) -> int:
     result = {
         "model": cfg.model,
         "dim": space.dim,
-        "basis": [kets.ket_string(col, tol=0.0, digits=10)
+        "basis": [kets.ket_string(col, digits=10)
                   for col in space.basis.T],
     }
     if cfg.verify:
@@ -258,30 +289,33 @@ def cmd_simulate(cfg: RunConfig) -> int:
     system = _load_model(cfg)
     root = _load_init(cfg, system)
 
-    def grow(config, depth):
-        entry = {"location": config.location,
-                 "probability": config.probability,
-                 "state_digest": checker.spectral_fingerprint(
-                     *config.spectrum)}
-        if depth < cfg.depth:
-            entry["children"] = [grow(succ, depth + 1)
-                                 for succ, _ in qts.step(system, config)]
-        return entry
+    def entry(config):
+        return {"location": config.location,
+                "probability": config.probability,
+                "state_digest": checker.spectral_fingerprint(
+                    *config.spectrum)}
 
-    tree = grow(root, 0)
+    # grown and printed with explicit stacks, so any --depth fits
+    tree = entry(root)
+    stack = [(root, tree, 0)]
+    while stack:
+        config, node, depth = stack.pop()
+        if depth < cfg.depth:
+            node["children"] = []
+            for succ, _ in qts.step(system, config):
+                node["children"].append(entry(succ))
+                stack.append((succ, node["children"][-1], depth + 1))
     if cfg.output_format == "json":
         print(_json_dump({"model": cfg.model, "depth": cfg.depth,
                           "tree": tree}), end="")
     else:
-        def show(entry, depth):
-            pad = "  " * depth
-            print(f"{pad}{entry['location']}  "
-                  f"p={_sig(entry['probability'])}  "
-                  f"{entry['state_digest']}")
-            for child in entry.get("children", ()):
-                show(child, depth + 1)
-
-        show(tree, 0)
+        stack = [(tree, 0)]
+        while stack:
+            node, depth = stack.pop()
+            print(f"{'  ' * depth}{node['location']}  "
+                  f"p={_sig(node['probability'])}  {node['state_digest']}")
+            stack.extend((child, depth + 1)
+                         for child in reversed(node.get("children", ())))
     return EXIT_HOLDS
 
 

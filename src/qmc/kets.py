@@ -14,8 +14,8 @@ import re
 import numpy as np
 
 from .errors import ParseError
-from .parsing import (IDENT, IMAG, NUMBER, PUNCT, Token, TokenStream,
-                      parse_complex)
+from .parsing import (IDENT, IMAG, MAX_DEPTH, NUMBER, PUNCT, Token,
+                      TokenStream, parse_complex)
 
 KET = "KET"
 
@@ -77,9 +77,14 @@ def _lex(text: str) -> list:
 
 
 class _KetParser:
+    """Recursive descent that evaluates as it goes; only a parenthesised
+    group recurses, so the syntax tree's depth is one for the ket plus
+    one per group around it, at most MAX_DEPTH."""
+
     def __init__(self, text: str):
         self.ts = TokenStream(_lex(text))
         self.n_bits = None
+        self.depth = 1
 
     def parse(self) -> np.ndarray:
         vec = self.sum()
@@ -127,7 +132,12 @@ class _KetParser:
             return coef * self._basis_vector(tok)
         if self.ts.at_punct("("):
             self.ts.next()
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"ket expression nests deeper than "
+                                 f"{MAX_DEPTH} levels", tok.line, tok.column)
+            self.depth += 1
             vec = self.sum()
+            self.depth -= 1
             self.ts.expect_punct(")")
             return coef * vec
         self.ts.error("expected a ket")
@@ -206,10 +216,10 @@ def parse_ket(text: str) -> np.ndarray:
     return vec
 
 
-def ket_string(vec: np.ndarray, tol: float = 0.0, digits: int = None) -> str:
-    """Render a vector as a parseable ket expression.  Entries with
-    magnitude at most `tol` are dropped; `digits` rounds for display (full
-    precision by default, in which case parse(ket_string(v)) == v)."""
+def ket_string(vec: np.ndarray, digits: int = None) -> str:
+    """Render a vector as a parseable ket expression.  Zero entries are
+    dropped; `digits` rounds for display (full precision by default, in
+    which case parse(ket_string(v)) == v)."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     n = int(round(math.log2(vec.shape[0])))
     if 2 ** n != vec.shape[0]:
@@ -226,7 +236,7 @@ def ket_string(vec: np.ndarray, tol: float = 0.0, digits: int = None) -> str:
     parts = []
     for idx in range(vec.shape[0]):
         z = vec[idx]
-        if abs(z) <= tol:
+        if z == 0:
             continue
         bits = "".join(str((idx >> j) & 1) for j in range(n))
         if z.imag == 0.0:

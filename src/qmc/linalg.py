@@ -36,7 +36,6 @@ TOL_HERM = 1e-9     # Hermiticity defect allowed in density matrices
 # density matrix, both before it decomposes the state.
 TOL_HERM_STATE = 1e3 * TOL_HERM
 TOL_NORM = 1e-9     # normalisation defect (unit vectors, Kraus sums)
-TOL_RECON = 1e-10   # Schmidt reconstruction error
 TOL_PROB = 1e-12    # branches below this probability are dropped
 TOL_PROB_EXCESS = 1e-12  # rounding a branch probability may carry above 1
 TOL_FP = 1e-7       # states closer than this share a graph node
@@ -137,15 +136,6 @@ class Subspace:
         cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1)
                                 for v in vectors])
         return cls(orth_columns(cols))
-
-    def contains(self, other, tol: float = TOL_MEMBER) -> bool:
-        return contains(self, other, tol)
-
-    def projector(self) -> np.ndarray:
-        return projector(self)
-
-    def complement(self) -> "Subspace":
-        return orthocomplement(self)
 
     def same_space(self, other: "Subspace", tol: float = TOL_MEMBER) -> bool:
         return self.dim == other.dim and contains(self, other, tol) \

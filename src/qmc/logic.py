@@ -18,6 +18,7 @@ Assertion files bind atoms with `let name = span { "ket", ... }` or
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ import numpy as np
 from . import linalg as la
 from .errors import DimensionMismatch, ParseError, UnboundAtom
 from .kets import ket_string, parse_ket
-from .parsing import EOF, IDENT, STRING, TokenStream, parse_matrix, tokenize
+from .parsing import (EOF, IDENT, MAX_DEPTH, STRING, TokenStream,
+                      parse_matrix, tokenize)
 
 _PUNCTS = ["&&", "->", "!", "~", "&", "|", "[", "]", "(", ")", "{", "}",
            ",", ":", "="]
@@ -164,133 +166,180 @@ TRUE = Prop(PTrue())
 FALSE = Prop(PFalse())
 
 
+class _TooDeep(ParseError):
+    """A formula deeper than MAX_DEPTH; no backtracking retries it."""
+
+
 class _FormulaParser:
     """Recursive descent over the token stream.  Precedence, loosest first:
     `->` (right associative), `&&`, then the prefix operators `!`, `E`, `A`.
     After a quantifier comes a path formula: `X f`, `F f`, `G f`, a
-    parenthesised path formula, or `f U g`."""
+    parenthesised path formula, or `f U g`.
+
+    Every method returns a tree with its height: the nodes on its longest
+    path down, sugar expanded.  `depth` counts the tree levels known to lie
+    above the part being parsed, and `nesting` the operators, brackets and
+    parentheses open around it in the text.  A formula whose height or
+    nesting passes MAX_DEPTH is refused at the token where that shows, and
+    no operand or group is entered at that nesting, so neither the parser
+    nor any recursive pass over its trees goes deeper.  A printed formula
+    nests no deeper than its tree, so it parses again."""
 
     def __init__(self, ts: TokenStream):
         self.ts = ts
+        self.depth = 0
+        self.nesting = 0
+
+    def _refuse(self, tok):
+        raise _TooDeep(f"formula nests deeper than {MAX_DEPTH} levels",
+                       tok.line, tok.column)
+
+    def _fits(self, tok, height: int) -> int:
+        if self.depth + height > MAX_DEPTH:
+            self._refuse(tok)
+        return height
+
+    @contextlib.contextmanager
+    def _below(self, tok, group=False):
+        """Parse the operand of the construct at `tok`, one tree level
+        down, or the content of the group it opens, at the same level."""
+        if self.nesting + 2 > MAX_DEPTH:
+            self._refuse(tok)
+        levels = 0 if group else 1
+        self.depth += levels
+        self.nesting += 1
+        try:
+            yield
+        finally:
+            self.depth -= levels
+            self.nesting -= 1
+
+    def _chain(self, punct, node, operand):
+        """Left-associative `a op b op c`, read node(node(a, b), c)."""
+        left, height = operand()
+        while self.ts.at_punct(punct):
+            tok = self.ts.next()
+            right, right_height = operand()
+            left = node(left, right)
+            height = self._fits(tok, 1 + max(height, right_height))
+        return left, height
 
     def state(self):
-        left = self.conj()
-        if self.ts.at_punct("->"):
-            self.ts.next()
-            right = self.state()
-            return Not(And(left, Not(right)))
-        return left
-
-    def conj(self):
-        left = self.unary()
-        while self.ts.at_punct("&&"):
-            self.ts.next()
-            left = And(left, self.unary())
-        return left
+        left, height = self._chain("&&", And, self.unary)
+        if not self.ts.at_punct("->"):
+            return left, height
+        tok = self.ts.next()
+        with self._below(tok):
+            right, right_height = self.state()
+        # f -> g is !(f && !g)
+        return (Not(And(left, Not(right))),
+                self._fits(tok, max(height + 2, right_height + 3)))
 
     def unary(self):
+        tok = self.ts.peek()
         if self.ts.at_punct("!"):
             self.ts.next()
-            return Not(self.unary())
-        if self.ts.at_keyword("E"):
+            with self._below(tok):
+                sub, height = self.unary()
+            return Not(sub), self._fits(tok, height + 1)
+        if self.ts.at_keyword("E", "A"):
             self.ts.next()
-            return self.quantified(Exists, Forall)
-        if self.ts.at_keyword("A"):
-            self.ts.next()
-            return self.quantified(Forall, Exists)
+            quant, dual = (Exists, Forall) if tok.text == "E" \
+                else (Forall, Exists)
+            with self._below(tok):
+                kind, payload, height = self.path()
+            if kind == "path":
+                return quant(payload), self._fits(tok, height + 1)
+            # G f expands with its quantifier: E G f = !A(true U !f) and dually
+            return (Not(dual(Until(TRUE, Not(payload)))),
+                    self._fits(tok, height + 4))
         return self.primary()
 
-    def quantified(self, quant, dual):
-        kind, payload = self.path()
-        if kind == "path":
-            return quant(payload)
-        # G f expands with its quantifier: E G f = !A(true U !f) and dually
-        return Not(dual(Until(TRUE, Not(payload))))
-
     def path(self):
-        if self.ts.at_keyword("X"):
+        """(kind, tree, height): kind "path" for X, F and U, whose tree is
+        the path formula, and "G" for `G f`, whose tree is f, as its
+        expansion needs the quantifier."""
+        tok = self.ts.peek()
+        if self.ts.at_keyword("X", "F", "G"):
             self.ts.next()
-            return "path", Next(self.unary())
-        if self.ts.at_keyword("F"):
-            self.ts.next()
-            return "path", Until(TRUE, self.unary())
-        if self.ts.at_keyword("G"):
-            self.ts.next()
-            return "G", self.unary()
+            with self._below(tok):
+                sub, height = self.unary()
+            if tok.text == "X":
+                return "path", Next(sub), self._fits(tok, height + 1)
+            if tok.text == "F":
+                return ("path", Until(TRUE, sub),
+                        self._fits(tok, max(height, 2) + 1))
+            return "G", sub, height
         if self.ts.at_punct("("):
             # try a parenthesised path formula, fall back to `state U state`
             saved = self.ts.pos
             self.ts.next()
             try:
-                kind, payload = self.path()
+                with self._below(tok, group=True):
+                    kind, payload, height = self.path()
                 self.ts.expect_punct(")")
-                return kind, payload
+                return kind, payload, height
+            except _TooDeep:
+                raise
             except ParseError:
                 self.ts.pos = saved
-        left = self.state()
-        self.ts.expect_keyword("U")
-        right = self.state()
-        return "path", Until(left, right)
+        left, left_height = self.state()
+        tok = self.ts.expect_keyword("U")
+        right, right_height = self.state()
+        return ("path", Until(left, right),
+                self._fits(tok, 1 + max(left_height, right_height)))
 
     def primary(self):
+        tok = self.ts.peek()
         if self.ts.at_punct("("):
             self.ts.next()
-            inner = self.state()
+            with self._below(tok, group=True):
+                inner = self.state()
             self.ts.expect_punct(")")
             return inner
-        if self.ts.at_keyword("true"):
+        if self.ts.at_keyword("true", "false"):
             self.ts.next()
-            return TRUE
-        if self.ts.at_keyword("false"):
-            self.ts.next()
-            return FALSE
+            return TRUE if tok.text == "true" else FALSE, self._fits(tok, 2)
         if self.ts.at_punct("["):
             self.ts.next()
-            prop = self.prop_or()
+            with self._below(tok):
+                prop, height = self.prop_or()
             self.ts.expect_punct("]")
-            return Prop(prop)
+            return Prop(prop), self._fits(tok, height + 1)
         self.ts.error("expected a state formula")
 
     def prop_or(self):
-        left = self.prop_and()
-        while self.ts.at_punct("|"):
-            self.ts.next()
-            left = OrQ(left, self.prop_and())
-        return left
+        return self._chain("|", OrQ, self.prop_and)
 
     def prop_and(self):
-        left = self.prop_not()
-        while self.ts.at_punct("&"):
-            self.ts.next()
-            left = AndQ(left, self.prop_not())
-        return left
+        return self._chain("&", AndQ, self.prop_not)
 
     def prop_not(self):
+        tok = self.ts.peek()
         if self.ts.at_punct("~"):
             self.ts.next()
-            return NotQ(self.prop_not())
+            with self._below(tok):
+                sub, height = self.prop_not()
+            return NotQ(sub), self._fits(tok, height + 1)
         if self.ts.at_punct("("):
             self.ts.next()
-            inner = self.prop_or()
+            with self._below(tok, group=True):
+                inner = self.prop_or()
             self.ts.expect_punct(")")
             return inner
-        if self.ts.at_keyword("true"):
+        if self.ts.at_keyword("true", "false"):
             self.ts.next()
-            return PTrue()
-        if self.ts.at_keyword("false"):
-            self.ts.next()
-            return PFalse()
-        tok = self.ts.peek()
+            return PTrue() if tok.text == "true" else PFalse(), 1
         if tok.kind == IDENT:
             self.ts.next()
-            return Atom(tok.text)
+            return Atom(tok.text), 1
         self.ts.error("expected an atomic proposition")
 
 
 def parse_formula(text: str):
     """Parse one state formula."""
     ts = TokenStream(tokenize(text, _PUNCTS))
-    formula = _FormulaParser(ts).state()
+    formula, _ = _FormulaParser(ts).state()
     tok = ts.peek()
     if tok.kind != EOF:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
@@ -420,8 +469,8 @@ def parse_assertions(text: str) -> AssertionDoc:
                 ts.error("expected a quoted assertion label")
             ts.next()
             ts.expect_punct(":")
-            assertions.append(Assertion(label_tok.value,
-                                        _FormulaParser(ts).state()))
+            formula, _ = _FormulaParser(ts).state()
+            assertions.append(Assertion(label_tok.value, formula))
         else:
             ts.error("expected let or assert")
     return AssertionDoc(bindings, tuple(assertions))

@@ -25,6 +25,12 @@ STRING = "STRING"
 PUNCT = "PUNCT"
 EOF = "EOF"
 
+# The deepest syntax tree the assertion and ket parsers accept (see
+# docs/assertion_format.md).  Parsing a formula costs at most five
+# interpreter frames per level, so a tree at the limit stays far below
+# Python's default recursion limit of 1000 in every recursive pass.
+MAX_DEPTH = 64
+
 
 class Token(NamedTuple):
     kind: str

@@ -28,7 +28,9 @@ only re-raises a constructor's error at the transition's position.
 
 This module also owns the textual model format (see docs/model_format.md
 for the grammar).  Each transition keeps the surface form it was written
-in, so serialize -> parse round trips reproduce the system exactly.
+in, so serialize -> parse round trips reproduce the system exactly.  The
+teleportation fixture is one dynamic circuit, `teleportation_circuit`,
+which `teleportation_qts` compiles.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                      MalformedCircuit, NormalisationViolation, ParseError,
                      QmcError, UnknownLocation)
 from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM,
-                     TOL_ORTHO, TOL_PROB_EXCESS, Subspace, row_blocks,
-                     spectral_support)
+                     TOL_ORTHO, TOL_PROB, TOL_PROB_EXCESS, Subspace,
+                     row_blocks, spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_matrix, tokenize)
 
@@ -370,7 +372,7 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
     for t in transitions:
         stack = _apply_local(t, factor)
         p = float(np.vdot(stack, stack).real)
-        if p > ch.TOL_PROB:
+        if p > TOL_PROB:
             u, s, _ = np.linalg.svd(stack, full_matrices=False)
             lam = s * s / p
             keep = lam > _SPECTRUM_FLOOR * lam[0]
@@ -484,57 +486,24 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
                                    tuple(transitions))
 
 
-def build_sequential(combinational: ch.SuperOperator, state_qubits: int,
-                     memory_qubits: int) -> QuantumTransitionSystem:
-    """Synchronous sequential circuit: one location whose self-loop applies
-    the combinational channel every clock cycle, the memory wires being fed
-    back."""
-    n = state_qubits + memory_qubits
-    if combinational.n_qubits != n:
-        raise DimensionMismatch(
-            f"combinational part has {combinational.n_qubits} qubits, "
-            f"expected {state_qubits}+{memory_qubits}")
-    loop = kraus_edge("l0", "l0", combinational.kraus,
-                      tuple(range(1, n + 1)), n)
-    return QuantumTransitionSystem(n, ("l0",), "l0", (loop,))
-
-
 # --- the teleportation fixture --------------------------------------------
 
-def teleportation_qts() -> QuantumTransitionSystem:
-    """The three-qubit teleportation protocol as a transition system:
-    entangle, Bell-measure qubits 2 then 1, and apply the X/Z corrections
-    on qubit 3; terminal locations loop on the identity."""
-    n = 3
-    e = []
-    e.append(gate_edge("l0", "l1", "CX", (1, 2), n))
-    e.append(gate_edge("l1", "l2", "H", (1,), n))
-    e.append(measure_edge("l2", "l3", (2,), 0, n))
-    e.append(measure_edge("l2", "l4", (2,), 1, n))
-    e.append(gate_edge("l3", "l5", "I", (3,), n))
-    e.append(gate_edge("l4", "l6", "X", (3,), n))
-    e.append(measure_edge("l5", "l7", (1,), 0, n))
-    e.append(measure_edge("l5", "l8", (1,), 1, n))
-    e.append(measure_edge("l6", "l9", (1,), 0, n))
-    e.append(measure_edge("l6", "l10", (1,), 1, n))
-    e.append(gate_edge("l7", "l11", "I", (3,), n))
-    e.append(gate_edge("l8", "l12", "Z", (3,), n))
-    e.append(gate_edge("l9", "l13", "I", (3,), n))
-    e.append(gate_edge("l10", "l14", "Z", (3,), n))
-    for terminal in ("l11", "l12", "l13", "l14"):
-        e.append(gate_edge(terminal, terminal, "I", (1,), n))
-    locations = tuple(f"l{i}" for i in range(15))
-    return QuantumTransitionSystem(n, locations, "l0", tuple(e))
-
-
-def teleportation_circuit() -> object:
-    """The same protocol as a dynamic circuit (compiles to a system
-    isomorphic to `teleportation_qts`)."""
+def teleportation_circuit() -> Seq:
+    """The three-qubit teleportation protocol as a dynamic circuit:
+    entangle qubits 1 and 2, Hadamard qubit 1, measure qubit 2 and correct
+    with X on qubit 3, then measure qubit 1 and correct with Z on qubit 3."""
     m1 = ch.computational_measurement(1)
     fix_x = Cond(m1, (2,), {0: Gate((3,), name="I"), 1: Gate((3,), name="X")})
     fix_z = Cond(m1, (1,), {0: Gate((3,), name="I"), 1: Gate((3,), name="Z")})
     return Seq(Seq(Gate((1, 2), name="CX"), Gate((1,), name="H")),
                Seq(fix_x, fix_z))
+
+
+def teleportation_qts() -> QuantumTransitionSystem:
+    """`teleportation_circuit` compiled to a transition system: 15
+    locations l0..l14, whose four leaves l8, l10, l12 and l14 loop on the
+    identity."""
+    return compile_circuit(teleportation_circuit(), 3)
 
 
 def teleportation_input(psi) -> np.ndarray:

@@ -42,23 +42,17 @@ class QuantumMarkovChain:
                 "a Markov chain channel must be trace-preserving")
 
 
-def image(e: ch.SuperOperator, x: la.Subspace) -> la.Subspace:
+def image(e: ch.SuperOperator, x: la.Subspace,
+          rtol: float = la.TOL_EIG) -> la.Subspace:
     """Image of a subspace under a channel: the join over its pure states
     of the supports of their outputs, computed as the support of the
-    channel applied to the subspace projector."""
+    channel applied to the subspace projector, cut at `rtol`."""
     if x.ambient_dim != e.dim:
         raise DimensionMismatch(
             f"subspace ambient {x.ambient_dim} vs channel dim {e.dim}")
     if x.dim == 0:
         return x
-    return la.support(ch.apply(e, la.projector(x)))
-
-
-def adjacent(c: QuantumMarkovChain, rho: np.ndarray,
-             sigma: np.ndarray) -> bool:
-    """Whether sigma can follow rho in one step: supp(sigma) inside the
-    image of supp(rho)."""
-    return la.contains(image(c.channel, la.support(rho)), la.support(sigma))
+    return la.support(ch.apply(e, la.projector(x)), rtol)
 
 
 def _check_state(c: QuantumMarkovChain, rho: np.ndarray) -> np.ndarray:
@@ -119,7 +113,7 @@ def reachable_fixpoint_oracle(c: QuantumMarkovChain, rho: np.ndarray,
     rho = _check_state(c, rho)
     x = la.support(rho, rtol)
     for _ in range(c.dim):
-        grown = la.join([x, image(c.channel, x)])
+        grown = la.join([x, image(c.channel, x, rtol)])
         if grown.dim == x.dim:
             return x
         x = grown

@@ -47,13 +47,6 @@ class Tensor:
     def rank(self) -> int:
         return len(self.indices)
 
-    def amplitude(self, assignment: dict) -> complex:
-        """Entry at the given {index name: bit} assignment."""
-        return complex(self.data[tuple(assignment[n] for n in self.indices)])
-
-    def relabel(self, mapping: dict) -> "Tensor":
-        return Tensor(tuple(mapping.get(n, n) for n in self.indices), self.data)
-
     def transpose_to(self, order) -> "Tensor":
         """Same tensor with its indices listed in the given order."""
         order = tuple(order)
@@ -68,11 +61,6 @@ class Tensor:
         weight 2**i (little-endian)."""
         t = self if order is None else self.transpose_to(order)
         return t.data.reshape(-1, order="F").copy()
-
-    def to_matrix(self, row_indices, col_indices) -> np.ndarray:
-        t = self.transpose_to(tuple(row_indices) + tuple(col_indices))
-        r = len(tuple(row_indices))
-        return t.data.reshape((2 ** r, -1), order="F").copy()
 
     def __repr__(self):
         return f"<Tensor {self.indices}>"
@@ -99,10 +87,6 @@ def tensor_from_matrix(mat: np.ndarray, row_names, col_names) -> Tensor:
             f"({len(row_names)}, {len(col_names)})")
     data = mat.reshape((2,) * (len(row_names) + len(col_names)), order="F")
     return Tensor(row_names + col_names, data)
-
-
-def scalar_tensor(value: complex) -> Tensor:
-    return Tensor((), np.asarray(value, dtype=complex))
 
 
 def contract_pair(a: Tensor, b: Tensor) -> Tensor:

@@ -107,6 +107,14 @@ def reference_vectorized_reach(chain, rho, rtol=la.TOL_EIG):
     return la.Subspace(np.column_stack([left for _, left, _ in terms]))
 
 
+def loop_qts(e):
+    """A one-location system l0 whose self-loop applies the channel `e` to
+    the whole register, as a synchronous sequential circuit does."""
+    n = e.n_qubits
+    loop = qts.kraus_edge("l0", "l0", e.kraus, tuple(range(1, n + 1)), n)
+    return qts.QuantumTransitionSystem(n, ("l0",), "l0", (loop,))
+
+
 def trace_distance(a, b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
@@ -228,7 +236,7 @@ def dense_step(system, config):
     for t in system.outgoing(config.location):
         post = ch.apply(t.op, config.state)
         p = float(np.trace(post).real)
-        if p > ch.TOL_PROB:
+        if p > la.TOL_PROB:
             post = (post + post.conj().T) / (2.0 * p)
             results.append((qts.Configuration(t.post, post,
                                               config.probability * p), p))

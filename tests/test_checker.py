@@ -16,7 +16,7 @@ from qmc.errors import (DimensionMismatch, InvalidDensityMatrix,
                         NoTraceAvailable, UnboundAtom, UnknownLocation)
 
 from helpers import (ReferenceLabeling, dense_build_graph, dense_step,
-                     random_closing_qts, random_closing_state,
+                     loop_qts, random_closing_qts, random_closing_state,
                      random_density, random_state_formula, random_subspace,
                      random_unit_vector, reference_fingerprint,
                      unmerged_build_graph)
@@ -39,11 +39,11 @@ def span(*vs):
 
 
 def id_loop_system():
-    return qts.build_sequential(ch.SuperOperator.identity(1), 1, 0)
+    return loop_qts(ch.SuperOperator.unitary(np.eye(2)))
 
 
 def h_loop_system():
-    return qts.build_sequential(ch.gate_library("H"), 1, 0)
+    return loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("H")))
 
 
 BINDINGS_1Q = {
@@ -79,7 +79,7 @@ class TestBuildGraph:
 
     def test_truncation_flag(self):
         # T-loop orbits of |+> never close; a small bound must truncate
-        system = qts.build_sequential(ch.gate_library("T"), 1, 0)
+        system = loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("T")))
         g = checker.build_graph(system, pure(PLUS), bound=3)
         assert g.closure == ("truncated", 3)
         assert any(not n.complete for n in g.nodes)
@@ -144,8 +144,8 @@ class TestCheckBasics:
                                      np.diag([np.nan, 0.0])])
     def test_nan_initial_state_is_refused(self, bad):
         with pytest.raises(DimensionMismatch):
-            checker.check(qts.build_sequential(ch.gate_library("X"), 1, 0),
-                          bad, lg.parse_formula("A G [zero]"), BINDINGS_1Q)
+            x_loop = loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("X")))
+            checker.check(x_loop, bad, lg.parse_formula("A G [zero]"), BINDINGS_1Q)
 
     def test_unbound_atom_raises(self):
         with pytest.raises(UnboundAtom):
@@ -184,7 +184,7 @@ class TestThreeValued:
     def test_truncated_unknown(self):
         # after 3 steps of T the orbit has not closed and G [diag] cannot
         # be decided from the prefix
-        system = qts.build_sequential(ch.gate_library("T"), 1, 0)
+        system = loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("T")))
         bindings = {"up": span(np.array([1, 0], dtype=complex))}
         v = checker.check(system, pure(PLUS),
                           lg.parse_formula("A G [ ~up | up ]"), bindings,
@@ -194,7 +194,7 @@ class TestThreeValued:
 
     def test_truncated_witness_still_holds(self):
         # an Until witness inside the explored prefix decides the verdict
-        system = qts.build_sequential(ch.gate_library("X"), 1, 0)
+        system = loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("X")))
         v = checker.check(system, pure(KET0),
                           lg.parse_formula("E (true U [one])"), BINDINGS_1Q,
                           bound=1)
@@ -205,7 +205,7 @@ class TestThreeValued:
         assert [s.location for s in v.trace] == ["l0", "l0"]
 
     def test_truncated_refutation_still_fails(self):
-        system = qts.build_sequential(ch.gate_library("T"), 1, 0)
+        system = loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("T")))
         v = checker.check(system, pure(PLUS),
                           lg.parse_formula("A X [up]"),
                           {"up": span(KET0)}, bound=2)
@@ -508,6 +508,24 @@ class TestKeyRangeDedup:
             probs = [p for n in graph.nodes for _, p in n.out]
             assert probs == [p for n in reference.nodes for _, p in n.out]
 
+    def test_key_vector_comes_from_the_probe_block(self, monkeypatch):
+        # the dedup key reads each state along the digest's first probe, so
+        # a build seeds no generator but the one `_probes` seeds
+        seeds = []
+        real = np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        checker._probes.cache_clear()
+        system = qts.teleportation_qts()
+        graph = checker.build_graph(
+            system, qts.teleportation_input(np.array([0.6, 0.8])))
+        assert seeds == [checker._SKETCH_SEED]
+        assert len(graph.nodes) == 15
+
     def test_boundary_straddling_pair_merges(self):
         # l0 prepares diag(a, 1 - a) with a just below the rounding boundary
         # 0.12345675; each turn of the l1 loop moves a up by 2e-12
@@ -530,7 +548,7 @@ class TestKeyRangeDedup:
     def test_equal_diagonals_never_merge(self):
         # |+> and |-> differ only in their coherences
         assert np.array_equal(np.diag(pure(PLUS)), np.diag(pure(MINUS)))
-        system = qts.build_sequential(ch.gate_library("Z"), 1, 0)
+        system = loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("Z")))
         graph = checker.build_graph(system, pure(PLUS), bound=8)
         states = [n.config.state for n in graph.nodes]
         assert len(states) == 2
@@ -651,7 +669,7 @@ class TestTraces:
                                        bindings)
 
     def test_unknown_has_no_trace(self):
-        system = qts.build_sequential(ch.gate_library("T"), 1, 0)
+        system = loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("T")))
         graph = checker.build_graph(system, pure(PLUS), bound=2)
         with pytest.raises(NoTraceAvailable):
             checker.extract_trace(graph, lg.parse_formula("A G [zero]"),
@@ -688,7 +706,7 @@ class TestTraces:
         index = {(n.config.location, n.digest): n.index for n in graph.nodes}
         path = [index[s.location, s.state_digest] for s in v.trace]
         assert path == [0, 1, 2, 2]
-        assert v.trace[0].state_digest == graph.root.digest
+        assert v.trace[0].state_digest == graph.nodes[0].digest
         for u, w in zip(path, path[1:]):
             assert w in [dst for dst, _ in graph.nodes[u].out]
 

