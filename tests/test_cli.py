@@ -14,6 +14,8 @@ from qmc import channel as ch
 from qmc import cli, kets, qts
 from qmc.parsing import MAX_DEPTH
 
+from test_logic import DEEP_SHAPES
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 TELEPORT_INIT = "(0.6|000> + 0.8|100> + 0.6|011> + 0.8|111>)/sqrt2"
@@ -410,9 +412,6 @@ class TestDeepNesting:
         "complement": lambda n: "[" + "~" * n + "z]",
         "or-chain": lambda n: "[" + " | ".join(["z"] * n) + "]",
     }
-    # the largest n each shape accepts
-    AT_LIMIT = {"not": L - 2, "parens": L - 2, "and-chain": L - 1,
-                "complement": L - 2, "or-chain": L - 1}
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_three_thousand_levels_are_refused(self, capsys, tmp_path, shape):
@@ -423,16 +422,16 @@ class TestDeepNesting:
         assert err.startswith("qmc: error: 2:")
         assert f"formula nests deeper than {MAX_DEPTH} levels" in err
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
     def test_the_limit_is_checked(self, capsys, tmp_path, shape):
-        n = self.AT_LIMIT[shape]
-        spec = deep_assertion(tmp_path, self.SHAPES[shape](n))
+        at, over, _ = DEEP_SHAPES[shape]
+        spec = deep_assertion(tmp_path, at)
         code, out, err = run_cli(capsys, "check", "--model",
                                  str(FIXTURES / "xloop.qts"), "--assert",
                                  spec, "--format", "json")
         assert code in (cli.EXIT_HOLDS, cli.EXIT_FAILS), err
         assert json.loads(out)["reports"][0]["nodes"] == 2
-        spec = deep_assertion(tmp_path, self.SHAPES[shape](n + 1))
+        spec = deep_assertion(tmp_path, over)
         code, _, err = run_cli(capsys, "check", "--model",
                                str(FIXTURES / "xloop.qts"), "--assert", spec)
         assert code == cli.EXIT_ERROR and "nests deeper" in err
