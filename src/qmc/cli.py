@@ -31,7 +31,7 @@ import numpy as np
 from . import checker, kets, linalg as la, logic, qts, reach
 from . import channel as ch
 from .errors import QmcError
-from .parsing import EOF, TokenStream, parse_matrix, tokenize
+from .parsing import EOF, parse_matrix, parse_text
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -97,11 +97,8 @@ def _load_init(cfg: RunConfig,
     if not os.path.exists(spec):
         raise QmcError(f"initial state file {spec!r} does not exist")
     with open(spec, encoding="utf-8") as fh:
-        ts = TokenStream(tokenize(fh.read(), ["[", "]", ",", "+", "-"]))
-    rows = parse_matrix(ts)
-    if ts.peek().kind != EOF:
-        ts.error("unexpected text after the density matrix")
-    rho = np.array(rows, dtype=complex)
+        text = fh.read()
+    rho = parse_text(text, ["[", "]", ",", "+", "-"], _density_literal)
     if rho.shape != (d, d):
         raise QmcError(f"density matrix is {rho.shape}, model needs ({d},{d})")
     if not la.is_hermitian(rho, la.TOL_HERM_STATE):
@@ -111,6 +108,14 @@ def _load_init(cfg: RunConfig,
         raise QmcError(f"density matrix trace is {tr}, expected 1")
     rho = (rho + rho.conj().T) / (2.0 * tr)
     return qts.Configuration(system.initial, rho)
+
+
+def _density_literal(ts) -> np.ndarray:
+    """The one matrix literal of a density-matrix file."""
+    rho = parse_matrix(ts)
+    if ts.peek().kind != EOF:
+        ts.error("unexpected text after the density matrix")
+    return rho
 
 
 def _json_dump(obj) -> str:

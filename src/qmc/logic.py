@@ -28,10 +28,10 @@ from . import linalg as la
 from .errors import DimensionMismatch, ParseError, UnboundAtom
 from .kets import ket_string, parse_ket
 from .parsing import (EOF, IDENT, MAX_DEPTH, STRING, TokenStream,
-                      parse_matrix, tokenize)
+                      parse_matrix, parse_text)
 
 _PUNCTS = ["&&", "->", "!", "~", "&", "|", "[", "]", "(", ")", "{", "}",
-           ",", ":", "="]
+           ",", ":", "=", "+", "-"]
 
 
 # --- propositional layer ---------------------------------------------------
@@ -338,7 +338,10 @@ class _FormulaParser:
 
 def parse_formula(text: str):
     """Parse one state formula."""
-    ts = TokenStream(tokenize(text, _PUNCTS))
+    return parse_text(text, _PUNCTS, _parse_formula)
+
+
+def _parse_formula(ts: TokenStream):
     formula, _ = _FormulaParser(ts).state()
     tok = ts.peek()
     if tok.kind != EOF:
@@ -421,7 +424,10 @@ class AssertionDoc:
 
 def parse_assertions(text: str) -> AssertionDoc:
     """Parse an assertion file of `let` bindings and labelled `assert`s."""
-    ts = TokenStream(tokenize(text, _PUNCTS))
+    return parse_text(text, _PUNCTS, _parse_assertions)
+
+
+def _parse_assertions(ts: TokenStream) -> AssertionDoc:
     bindings = {}
     assertions = []
     while ts.peek().kind != EOF:
@@ -457,9 +463,8 @@ def parse_assertions(text: str) -> AssertionDoc:
                 bindings[name_tok.text] = la.Subspace.span(vectors)
             elif ts.at_keyword("matrix"):
                 ts.next()
-                rows = parse_matrix(ts)
-                mat = np.array(rows, dtype=complex)
-                bindings[name_tok.text] = la.Subspace(la.orth_columns(mat))
+                bindings[name_tok.text] = la.Subspace(
+                    la.orth_columns(parse_matrix(ts)))
             else:
                 ts.error("expected span or matrix")
         elif ts.at_keyword("assert"):

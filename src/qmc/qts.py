@@ -49,7 +49,7 @@ from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM,
                      TOL_ORTHO, TOL_PROB, TOL_PROB_EXCESS, Subspace,
                      row_blocks, spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
-                      parse_matrix, tokenize)
+                      parse_matrix, parse_text)
 
 # Eigenvalues at or below this fraction of the largest are float noise and
 # leave the spectral factor; keeping them would multiply its rank by the
@@ -122,6 +122,8 @@ def gate_edge(pre, post, name, targets, n_qubits, params=()) -> Transition:
 
 
 def kraus_edge(pre, post, matrices, targets, n_qubits) -> Transition:
+    """A Kraus set given as arrays or nested sequences, little-endian over
+    `targets`; the spec keeps each matrix as nested tuples."""
     arrays = [np.array(m, dtype=complex) for m in matrices]
     spec = KrausSpec(tuple(tuple(map(tuple, a.tolist())) for a in arrays),
                      tuple(targets))
@@ -449,8 +451,28 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
         locations.append(name)
         return name
 
-    def emit(node, pre) -> list:
-        if isinstance(node, Gate):
+    # A depth-first walk with an explicit stack, so no nesting of the
+    # circuit can exhaust the interpreter's.  ("node", node, pre, out)
+    # compiles `node` from location `pre` and appends its terminal
+    # locations to `out`; ("then", second, mids, out) compiles `second`
+    # from each location of the list `mids`, in order; ("branch", (cond,
+    # outcome), pre, out) adds one outcome's edge and then its branch.
+    # Tasks run in the order a recursive walk makes its calls, so every
+    # location and edge is made in the same order.
+    start = fresh()
+    terminals = []
+    stack = [("node", ir, start, terminals)]
+    while stack:
+        task, node, pre, out = stack.pop()
+        if task == "then":
+            stack.extend(("node", node, mid, out) for mid in reversed(pre))
+        elif task == "branch":
+            cond, outcome = node
+            post = fresh()
+            transitions.append(_branch_edge(pre, post, cond, outcome,
+                                            n_qubits))
+            stack.append(("node", cond.branches[outcome], post, out))
+        elif isinstance(node, Gate):
             post = fresh()
             if node.name is not None:
                 transitions.append(gate_edge(pre, post, node.name,
@@ -459,28 +481,22 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
             else:
                 transitions.append(kraus_edge(pre, post, node.op.kraus,
                                               node.qubits, n_qubits))
-            return [post]
-        if isinstance(node, Seq):
-            terminals = []
-            for mid in emit(node.first, pre):
-                terminals.extend(emit(node.second, mid))
-            return terminals
-        if isinstance(node, Cond):
+            out.append(post)
+        elif isinstance(node, Seq):
+            mids = []
+            stack.append(("then", node.second, mids, out))
+            stack.append(("node", node.first, pre, mids))
+        elif isinstance(node, Cond):
             missing = set(node.measurement.branches) - set(node.branches)
             if missing:
                 raise MalformedCircuit(
                     f"no branch for outcomes {sorted(missing)}")
-            terminals = []
-            for outcome in sorted(node.branches):
-                post = fresh()
-                transitions.append(_branch_edge(pre, post, node, outcome,
-                                                n_qubits))
-                terminals.extend(emit(node.branches[outcome], post))
-            return terminals
-        raise MalformedCircuit(f"not a circuit node: {node!r}")
+            stack.extend(("branch", (node, outcome), pre, out)
+                         for outcome in sorted(node.branches, reverse=True))
+        else:
+            raise MalformedCircuit(f"not a circuit node: {node!r}")
 
-    start = fresh()
-    for terminal in emit(ir, start):
+    for terminal in terminals:
         transitions.append(gate_edge(terminal, terminal, "I", (1,), n_qubits))
     return QuantumTransitionSystem(n_qubits, tuple(locations), start,
                                    tuple(transitions))
@@ -522,8 +538,10 @@ def teleportation_input(psi) -> np.ndarray:
 def parse_model(text: str) -> QuantumTransitionSystem:
     """Parse the textual model format; all system invariants are validated
     and violations carry source positions."""
-    ts = TokenStream(tokenize(text, _PUNCTS))
+    return parse_text(text, _PUNCTS, _parse_model)
 
+
+def _parse_model(ts: TokenStream) -> QuantumTransitionSystem:
     ts.expect_keyword("qubits")
     n_tok = ts.peek()
     n_qubits = ts.expect_int("qubit count")

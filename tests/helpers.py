@@ -11,7 +11,8 @@ from qmc import linalg as la
 from qmc import logic as lg
 from qmc import qts
 from qmc.errors import ParseError
-from qmc.parsing import EOF, IDENT, IMAG, NUMBER, PUNCT, STRING, Token
+from qmc.parsing import (EOF, IDENT, IMAG, NUMBER, PUNCT, STRING, Token,
+                         TokenStream)
 
 
 def random_unit_vector(rng, d):
@@ -425,8 +426,16 @@ _REF_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 _REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+def tokenize(text, puncts):
+    """The whole token list of `text`, ending in EOF, as a stream over it
+    scans it."""
+    ts = TokenStream.scan(text, puncts)
+    ts.scan_all()
+    return ts.tokens
+
+
 def reference_tokenize(text, puncts):
-    """`parsing.tokenize` as a character loop: the lexer the one-pass
+    """`tokenize` as a character loop: the lexer the one-pass
     scanner replaced, kept as the reference its tokens and errors must
     match (it lexes an out-of-range literal as `inf`)."""
     puncts = sorted(puncts, key=len, reverse=True)

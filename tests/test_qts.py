@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmc import channel as ch
 from qmc import linalg as la
@@ -91,6 +93,24 @@ class TestCompile:
         chain = [t for t in system.transitions if t.pre != t.post]
         assert len(chain) == 5
         assert [t.spec.name for t in chain] == ["Z", "H", "CX", "Y", "H"]
+
+    @pytest.mark.parametrize("nest", ["left", "right"])
+    def test_a_5000_gate_chain_compiles(self, nest):
+        # built as ir = Seq(ir, gate), the way the benchmark's circuits are,
+        # the chain is 5000 Seqs deep
+        names = ["H" if k % 3 else "X" for k in range(5000)]
+        ir = qts.Gate((1,), name=names[0])
+        for name in names[1:]:
+            gate = qts.Gate((1,), name=name)
+            ir = qts.Seq(ir, gate) if nest == "left" else qts.Seq(gate, ir)
+        system = qts.compile_circuit(ir, 1)
+        assert system.locations == tuple(f"l{k}" for k in range(5001))
+        chain = system.transitions[:-1]
+        assert [(t.pre, t.post) for t in chain] == \
+            [(f"l{k}", f"l{k + 1}") for k in range(5000)]
+        assert [t.spec.name for t in chain] == \
+            (names if nest == "left" else names[::-1])
+        assert system.outgoing("l5000")[0].spec.name == "I"
 
     def test_teleportation_shape(self):
         # tests/fixtures/teleport.qts is the protocol written out by hand;
@@ -587,6 +607,36 @@ class TestModelFormat:
             qts.kraus_edge("a", "a", [sqrt_x], (1,), 1),))
         assert "0.5-0.5i" in qts.serialize_model(system)
         self.round_trip(system)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.floats(0.05, 0.95), st.data())
+    def test_kraus_sets_round_trip_exactly(self, k, p, data):
+        # {sqrt(p) P D, sqrt(1-p) Q E} for permutations P, Q and diagonal
+        # phases D, E, plus entries far below the normalisation tolerance:
+        # negative, imaginary, and exponent-form entries (6.1e-17 from
+        # cos(pi/2), 1e-30), read token by token at k < 3 and by the
+        # literal reader at k = 3
+        d = 2 ** k
+        phases = st.sampled_from([1, -1, 1j, -1j, np.exp(0.5j * np.pi),
+                                  np.exp(-2.1j), np.exp(1j * np.pi / 3)])
+        kraus = []
+        for weight in (p, 1.0 - p):
+            perm = data.draw(st.permutations(range(d)))
+            mat = np.zeros((d, d), dtype=complex)
+            for col, row in enumerate(perm):
+                mat[row, col] = np.sqrt(weight) * data.draw(phases)
+            mat[data.draw(st.integers(0, d - 1)), perm[0]] += data.draw(
+                st.sampled_from([0.0, 1e-30, -2.5e-17j, 3e-200 - 1e-25j]))
+            kraus.append(mat)
+        targets = tuple(data.draw(st.permutations(range(1, k + 2)))[:k])
+        system = qts.QuantumTransitionSystem(k + 1, ("a", "b"), "a", (
+            qts.kraus_edge("a", "b", kraus, targets, k + 1),
+            qts.gate_edge("b", "b", "I", (1,), k + 1)))
+        text = qts.serialize_model(system)
+        again = qts.parse_model(text)
+        assert again.same_system(system, tol=0.0)
+        assert again.transitions[0].spec == system.transitions[0].spec
+        assert qts.serialize_model(again) == text
 
     def test_compiled_system_serializes(self, rng):
         system = qts.compile_circuit(random_circuit(rng, 2, 3), 2)
