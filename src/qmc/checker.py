@@ -9,7 +9,12 @@ factor, never as a dense state) or as a dense state, decomposed once.
 Two states at one location share a node when no entry differs by more
 than TOL_FP, found by a range query on a scalar key and confirmed on the
 factors (see `build_graph`).  The key reads the state along the first
-probe of the digest's block below, so one seeded draw serves both.
+probe of the digest's block below, so one seeded draw serves both.  The
+confirm is certified in O(d r^2) for factors of rank r: a bound on the
+largest entry of the difference accepts, an exact diagonal entry refuses,
+each with a stated rounding margin, and only a pair within that margin of
+TOL_FP is left to the O(d^2 r) blockwise check (`_within_tol`), so every
+merge is the one the blockwise check alone makes.
 
 A state's digest names it in traces and reports.  It hashes the rounded
 m x m sketch V^dagger rho V for a fixed, seeded complex Gaussian d x m
@@ -23,7 +28,8 @@ O(d r m).
 Exploration is breadth-first up to a bound; if unexpanded nodes remain
 the graph is truncated and verdicts become three-valued.
 
-Checking labels every node with the state subformulas, three-valued: one
+Checking labels every node with the state subformulas, three-valued; an
+atomic proposition tests every node's support in one batched pass.  One
 evaluator gives the nodes that certainly satisfy a formula and those that
 possibly do, which differ only on truncated graphs, so `holds` and `fails`
 are only ever reported when the explored prefix already decides them.  EX
@@ -137,7 +143,9 @@ class ConfigurationGraph:
         factor (`Configuration.support`) once per `eig_tol` and kept, so
         labeling decomposes no state and reads no factor twice, and `~p`
         and `true` denote co-bases (`linalg.Subspace`), so it builds no
-        d x d basis for them either."""
+        d x d basis for them either.  All supports are tested against the
+        subspace in one batched pass (`linalg.contains_each`), which
+        decides every node as `linalg.contains` does."""
         member_tol = la.TOL_MEMBER if member_tol is None else member_tol
         eig_tol = la.TOL_EIG if eig_tol is None else eig_tol
         # Subspaces hash by identity, so rebinding an atom misses the cache.
@@ -153,9 +161,9 @@ class ConfigurationGraph:
             if eig_tol not in self._supports:
                 self._supports[eig_tol] = [n.config.support(eig_tol)
                                            for n in self.nodes]
-            self._labels[key] = frozenset(
-                i for i, sup in enumerate(self._supports[eig_tol])
-                if la.contains(target, sup, member_tol))
+            inside = la.contains_each(target, self._supports[eig_tol],
+                                      member_tol)
+            self._labels[key] = frozenset(np.flatnonzero(inside).tolist())
         return self._labels[key]
 
 
@@ -165,7 +173,62 @@ def _key(factor: np.ndarray, v: np.ndarray) -> float:
     return float(np.vdot(w, w).real)
 
 
-def _within_tol(a: np.ndarray, b: np.ndarray) -> bool:
+_UNIT = np.finfo(float).eps / 2  # unit roundoff of a float64 operation
+
+
+def _abs2(m: np.ndarray) -> np.ndarray:
+    """|m_ij|^2 for each entry of a complex array."""
+    return m.real ** 2 + m.imag ** 2
+
+
+def _within_tol(a: np.ndarray, spectrum) -> bool:
+    """Whether max |A A^dagger - B B^dagger| <= TOL_FP, for a node's factor
+    A and a successor's spectrum (Q, lambda), B = Q sqrt(lambda): the
+    decision of `_blockwise_within_tol`, certified in O(d r^2) when it
+    can be, and left to that O(d^2 r) check otherwise.
+
+    *Bound.*  With C = Q^dagger A and R = A - Q C,
+    A A^dagger - B B^dagger = Q (C C^dagger - Lambda) Q^dagger
+    + Q C R^dagger + R C^dagger Q^dagger + R R^dagger.  This holds for the
+    computed C too, with R defined from it.  No row of Q has norm above 1
+    (up to the orthonormality defect `Configuration.from_factor` admits),
+    and the Frobenius norm bounds the 2-norm, so no entry of the difference
+    exceeds beta = |C C^dagger - Lambda|_F + 2 |C|_F max_i |R_i|
+    + max_i |R_i|^2.  The merge is accepted when beta <= TOL_FP - margin,
+    and refused when an exact diagonal entry |A_i|^2 - |B_i|^2 differs
+    from 0 by more than TOL_FP + margin.
+
+    *Margin.*  Both states have unit trace, so every row of A, B and Q has
+    norm at most about 1, every entry of either state at most 1, and
+    |C|_F about 1.  A complex inner product of length k then errs by at
+    most about 1.5 k u (u the unit roundoff; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3).  The blockwise
+    check's entries err by at most 1.5 (r_A + r_B) u + 6u, and rounding
+    Q sqrt(lambda) moves B B^dagger by at most 6u an entry.  The r x r
+    product C C^dagger and the rows of R err by at most 1.5 r_A u + 2u
+    and 1.5 r_B u + 4u, each at most twice in beta, and the diagonals by
+    2 r_A u + (r_B + 2) u.  The norms in beta err relatively by at most
+    (r_A + r_B + 2)^2 u, and Q's rows by r_B TOL_ORTHO, relative to beta,
+    which is at most TOL_FP where it decides.  So
+    margin = 16 (r_A + r_B + 2) u + TOL_FP (r_B TOL_ORTHO
+    + (r_A + r_B + 2)^2 u), about 3e-14 at ranks 8, covers every
+    rounding: a decision made here is the blockwise check's."""
+    q, lam = spectrum
+    ranks = a.shape[1] + len(lam)
+    margin = 16 * (ranks + 2) * _UNIT + TOL_FP * (
+        len(lam) * la.TOL_ORTHO + (ranks + 2) ** 2 * _UNIT)
+    c = q.conj().T @ a
+    resid = float(np.sqrt(_abs2(a - q @ c).sum(axis=1).max()))
+    bound = (np.linalg.norm(c @ c.conj().T - np.diag(lam))
+             + 2.0 * np.linalg.norm(c) * resid + resid ** 2)
+    if bound <= TOL_FP - margin:
+        return True
+    if np.abs(_abs2(a).sum(axis=1) - _abs2(q) @ lam).max() > TOL_FP + margin:
+        return False
+    return _blockwise_within_tol(a, q * np.sqrt(lam))
+
+
+def _blockwise_within_tol(a: np.ndarray, b: np.ndarray) -> bool:
     """max |A A^dagger - B B^dagger| <= TOL_FP, computed a block of rows
     at a time so no d x d matrix is built."""
     ah, bh = a.conj().T, b.conj().T
@@ -196,7 +259,10 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0,
     covers rounding in the keys) finds every node the successor can merge
     into.  v is complex, so k reads the coherences and not only the
     diagonal.  The graph does not depend on v: the query is sound for any
-    v, and the exact check picks the lowest-indexed match."""
+    v, and the exact check picks the lowest-indexed match.  That check is
+    certified from the factors in O(d r^2) and falls back to a blockwise
+    O(d^2 r) pass only within a rounding margin of TOL_FP (`_within_tol`);
+    its decisions, and so the graph, are the blockwise pass's."""
     if isinstance(rho0, q.Configuration):
         root = rho0
         if root.location != sys.initial:
@@ -224,7 +290,8 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0,
                 lo = bisect.bisect_left(near, (k - radius, -1))
                 hi = bisect.bisect_right(near, (k + radius, len(nodes)))
                 for cand in sorted(i for _, i in near[lo:hi]):
-                    if _within_tol(nodes[cand].config.factor, factor):
+                    if _within_tol(nodes[cand].config.factor,
+                                   succ.spectrum):
                         dst = cand
                         break
                 if dst is None:

@@ -101,13 +101,17 @@ def _load_init(cfg: RunConfig,
     rho = parse_text(text, ["[", "]", ",", "+", "-"], _density_literal)
     if rho.shape != (d, d):
         raise QmcError(f"density matrix is {rho.shape}, model needs ({d},{d})")
-    if not la.is_hermitian(rho, la.TOL_HERM_STATE):
+    # checked and then made (rho + rho^dagger)/(2 tr) a block of rows at a
+    # time, in place, so no whole-matrix temporary is built; a non-finite
+    # or overflowing entry fails a check, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = la.is_hermitian(rho, la.TOL_HERM_STATE)
+        tr = float(np.trace(rho).real)
+    if not hermitian:
         raise QmcError("density matrix is not Hermitian")
-    tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > la.TOL_HERM_STATE or tr <= 0.0:
         raise QmcError(f"density matrix trace is {tr}, expected 1")
-    rho = (rho + rho.conj().T) / (2.0 * tr)
-    return qts.Configuration(system.initial, rho)
+    return qts.Configuration(system.initial, la.hermitian_part(rho, tr))
 
 
 def _density_literal(ts) -> np.ndarray:

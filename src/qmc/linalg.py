@@ -41,6 +41,10 @@ TOL_PROB_EXCESS = 1e-12  # rounding a branch probability may carry above 1
 TOL_FP = 1e-7       # states closer than this share a graph node
 
 BLOCK = 1 << 16     # entries per block of rows in a streamed matrix pass
+# entries per chunk of stacked columns in `contains_each`: a chunk and its
+# residual (64 KiB each) stay under the allocator's mmap threshold, where
+# chunks of BLOCK entries raised a labeling run's peak RSS by about 1 MB
+CHUNK = BLOCK // 16
 
 
 def row_blocks(n_rows: int, row_len: int):
@@ -60,9 +64,33 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
+    """Whether `a` is square with no entry of a - a^dagger above `tol` in
+    magnitude, measured a block of rows at a time.  A non-finite entry
+    makes its defect inf or NaN, which is refused."""
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and \
-        np.abs(a - a.conj().T).max(initial=0.0) <= tol
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    for rows in row_blocks(len(a), len(a)):
+        diff = np.conjugate(a[:, rows].T)
+        diff -= a[rows]
+        if not np.abs(diff).max(initial=0.0) <= tol:
+            return False
+    return True
+
+
+def hermitian_part(a: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Replace the square array `a` by (a + a^dagger)/(2 scale) in place
+    and return it: each block of rows averages its tile left of and on
+    the diagonal with the transposed columns above it, then mirrors it
+    there, so no second d x d array is built."""
+    div = 2.0 * scale
+    for rows in row_blocks(len(a), len(a)):
+        tile = np.conjugate(a[:rows.stop, rows].T)
+        tile += a[rows, :rows.stop]
+        tile /= div
+        a[rows, :rows.stop] = tile
+        np.conjugate(tile[:, :rows.start].T, out=a[:rows.start, rows])
+    return a
 
 
 def orth_columns(mat: np.ndarray, rtol: float = TOL_EIG) -> np.ndarray:
@@ -217,8 +245,7 @@ def intersect(x: Subspace, y: Subspace) -> Subspace:
 
 def contains(x: Subspace, v, tol: float = TOL_MEMBER) -> bool:
     """Membership test: the residual (I - P_x) v is at most `tol`*|v| for a
-    vector, and columnwise for a subspace argument.  For a co-basis x of X
-    the residual is X X^dagger v, measured as |X^dagger v|."""
+    vector, and columnwise for a subspace argument (see `_contained`)."""
     if isinstance(v, Subspace):
         if v.ambient_dim != x.ambient_dim:
             raise DimensionMismatch(
@@ -229,18 +256,65 @@ def contains(x: Subspace, v, tol: float = TOL_MEMBER) -> bool:
         if cols.shape[0] != x.ambient_dim:
             raise DimensionMismatch(
                 f"vector dim {cols.shape[0]} vs ambient {x.ambient_dim}")
-    if cols.shape[1] == 0:
-        return True
+    return bool(_contained(x, cols, tol).all())
+
+
+def contains_each(x: Subspace, subspaces,
+                  tol: float = TOL_MEMBER) -> np.ndarray:
+    """`contains(x, s, tol)` for every subspace s of the list, as a boolean
+    array.  Their bases are stacked column-wise into chunks of at most
+    CHUNK entries (one column if d exceeds that), which may split one
+    basis, and each chunk is tested at once; a subspace is contained when
+    none of its columns fails, so the zero subspace is.  No stack of every
+    basis is built."""
+    d = x.ambient_dim
+    bases = []
+    for s in subspaces:
+        if s.ambient_dim != d:
+            raise DimensionMismatch(
+                f"ambient dims differ: {s.ambient_dim} vs {d}")
+        bases.append(s.basis)
+    # owner[c] is the subspace that stacked column c comes from
+    owner = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+    chunk = np.empty((d, min(max(1, CHUNK // d), len(owner))), dtype=complex)
+    failed = [np.zeros(0, dtype=int)]
+    done = fill = 0  # columns tested, and columns waiting in the chunk
+    for b in bases:
+        j = 0
+        while j < b.shape[1]:
+            take = min(chunk.shape[1] - fill, b.shape[1] - j)
+            chunk[:, fill:fill + take] = b[:, j:j + take]
+            fill, j = fill + take, j + take
+            if fill == chunk.shape[1] or done + fill == len(owner):
+                ok = _contained(x, chunk[:, :fill], tol)
+                failed.append(done + np.flatnonzero(~ok))
+                done, fill = done + fill, 0
+    bad = np.bincount(owner[np.concatenate(failed)], minlength=len(bases))
+    return bad == 0
+
+
+def _contained(x: Subspace, cols: np.ndarray, tol: float) -> np.ndarray:
+    """For each column v of the d x m array `cols`: whether the residual
+    (I - P_x) v is at most `tol`*|v| (at most `tol` for v = 0).  For a
+    co-basis x of X the residual is X X^dagger v, measured as
+    |X^dagger v|.  Every membership decision is made here, with one
+    temporary the size of `cols`."""
     if x._perp is not None:
-        # (I - P_x) v is the component along the complemented basis X, so
-        # its norm is |X^dagger v|
         resid = x._perp.basis.conj().T @ cols
     else:
-        resid = cols - x.basis @ (x.basis.conj().T @ cols)
-    norms = np.linalg.norm(cols, axis=0)
-    resid_norms = np.linalg.norm(resid, axis=0)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    return bool(np.all(resid_norms <= tol * scale))
+        # P_x v - v, which has the norm of (I - P_x) v
+        resid = x.basis @ (x.basis.conj().T @ cols)
+        resid -= cols
+    scale = _column_norms(cols)
+    scale[scale == 0.0] = 1.0
+    return _column_norms(resid) <= tol * scale
+
+
+def _column_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a complex array, summed in place
+    from its real and imaginary parts, so no array of its size is built."""
+    return np.sqrt(np.einsum("ij,ij->j", m.real, m.real)
+                   + np.einsum("ij,ij->j", m.imag, m.imag))
 
 
 def projector(x: Subspace) -> np.ndarray:

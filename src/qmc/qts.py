@@ -15,10 +15,12 @@ A configuration holds nothing but its state's spectral factor (U,
 lambda), state = U diag(lambda) U^dagger: O(d r) numbers for a rank-r
 state.  Stepping maps the factor through the Kraus operators and one thin
 SVD, so only a configuration built from a dense state needs an
-eigendecomposition, of the rows and columns its state occupies, and the
-checker reads every node's support and trace digest straight from the
-factor.  The dense state is rebuilt only when it is read, and nothing on
-the check path reads it.
+eigendecomposition, of the rows and columns its state occupies (its live
+block).  One pass over the dense state finds that block, and every other
+check reads the block alone, so a dense |0...0><0...0| root costs one
+pass and a 1 x 1 `eigh`.  The checker reads every node's support and
+trace digest straight from the factor.  The dense state is rebuilt only
+when it is read, and nothing on the check path reads it.
 
 The edge constructors `gate_edge`, `kraus_edge` and `measure_edge` are
 the one place a transition is validated: `channel.check_targets` checks
@@ -47,7 +49,7 @@ from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                      QmcError, UnknownLocation)
 from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM,
                      TOL_ORTHO, TOL_PROB, TOL_PROB_EXCESS, Subspace,
-                     row_blocks, spectral_support)
+                     hermitian_part, row_blocks, spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_matrix, parse_text)
 
@@ -169,7 +171,10 @@ class QuantumTransitionSystem:
                 raise UnknownLocation(f"transition endpoint {bad!r} undeclared")
             out[t.pre].append(t)
         for l, ts in out.items():
-            if not ts:
+            # a lone trace-preserving edge passed this same check, at the
+            # same tolerance, when its channel was built
+            if not ts or (len(ts) == 1 and ts[0].local.trace_class
+                          is ch.TraceClass.PRESERVING):
                 continue
             # the dense defect is (defect on the qubits the edges touch)
             # tensor the identity, so its largest entry is found on them
@@ -221,13 +226,16 @@ class Configuration:
     as many columns as lambda has entries; `probability` is the mass of
     the branch that led here.
 
-    Built from a dense state, a configuration checks it for finite
-    entries, Hermiticity (a block of rows at a time), unit trace and
-    positive semidefiniteness, and decomposes it once, by one `eigh` of the
-    rows and columns it occupies; the dense state is not kept.  Built by
-    `from_factor`, as `step` builds every successor and the CLI a ket
-    root, it holds the factor it is given, checked at O(d r^2).  Either
-    way `state` is rebuilt on every read and never kept."""
+    Built from a dense state, a configuration first finds the rows and
+    columns the state occupies, its live block, in one pass over the
+    state; every nonzero entry lies in that block.  It checks the block
+    for finite entries, Hermiticity (a block of rows at a time), unit trace
+    and positive semidefiniteness, and decomposes it once, by one `eigh`,
+    so |0...0><0...0| costs one pass and a 1 x 1 `eigh`; the dense state
+    is not kept.  Built by `from_factor`, as `step` builds every
+    successor and the CLI a ket root, it holds the factor it is given,
+    checked at O(d r^2).  Either way `state` is rebuilt on every read and
+    never kept."""
 
     __slots__ = ("location", "probability", "spectrum")
 
@@ -236,29 +244,42 @@ class Configuration:
         if state.ndim != 2 or state.shape[0] != state.shape[1]:
             raise DimensionMismatch(f"state shape {state.shape}")
         d = len(state)
-        defect = 0.0
-        # the live indices, those whose row or column has a nonzero entry:
-        # the others span a zero block, which holds no kept eigenvalue
+        # the live indices, those whose row or column has a nonzero entry
+        # (a NaN or an inf is nonzero).  Every nonzero entry and its mirror
+        # lie in the live x live block, so the checks and the `eigh` read
+        # that block alone; the others span a zero block, which passes
+        # every check and holds no kept eigenvalue
         live = np.zeros(d, dtype=bool)
+        for rows in row_blocks(d, d):
+            # read as (real, imaginary) pairs, which compare several times
+            # faster than complex entries
+            nonzero = np.ascontiguousarray(state[rows]).view(float) != 0
+            live[rows] |= nonzero.any(axis=1)
+            live |= nonzero.any(axis=0).reshape(d, 2).any(axis=1)
+        idx = np.flatnonzero(live)
+        sub = state if len(idx) == d else state[np.ix_(idx, idx)]
+        defect = 0.0
         # a finite entry so large that a difference or the trace overflows
         # fails its check as inf, without a warning
         with np.errstate(over="ignore"):
             for rows in row_blocks(d, d):
-                diff = np.conjugate(state[:, rows].T)
+                # the live rows of this block of the whole state, so faults
+                # are found in the order a scan of the whole state finds them
+                rows = slice(*np.searchsorted(idx, (rows.start, rows.stop)))
+                if rows.start == rows.stop:
+                    continue
+                diff = np.conjugate(sub[:, rows].T)
                 # refused before the subtraction, which would warn on them
                 if not (np.isfinite(diff).all()
-                        and np.isfinite(state[rows]).all()):
+                        and np.isfinite(sub[rows]).all()):
                     raise DimensionMismatch(
                         "configuration state has a non-finite entry")
-                diff -= state[rows]
+                diff -= sub[rows]
                 block = float(np.abs(diff).max(initial=0.0))
                 if not block <= TOL_HERM_STATE:
                     raise DimensionMismatch(
                         "configuration state is not Hermitian")
                 defect = max(defect, block)
-                nonzero = state[rows] != 0
-                live[rows] |= nonzero.any(axis=1)
-                live |= nonzero.any(axis=0)
             tr = float(np.trace(state).real)
         if not abs(tr - 1.0) <= TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
@@ -266,9 +287,7 @@ class Configuration:
             raise InvalidDensityMatrix("matrix is not Hermitian")
         # so |0...0><0...0| costs a 1 x 1 `eigh`, and a state with every
         # index live is decomposed as it is given
-        idx = np.flatnonzero(live)
-        w, v = np.linalg.eigh(
-            state if len(idx) == d else state[np.ix_(idx, idx)])
+        w, v = np.linalg.eigh(sub)
         if w[0] < -TOL_HERM_STATE:
             raise InvalidDensityMatrix(
                 "density matrix is not positive semidefinite")
@@ -310,19 +329,10 @@ class Configuration:
     @property
     def state(self) -> np.ndarray:
         """The dense state P = U diag(lambda) U^dagger, rebuilt in a fresh
-        array and made exactly Hermitian as (P + P^dagger)/2 in place: each
-        block of rows averages its tile left of and on the diagonal with
-        the transposed columns above it, then mirrors it there, so no
-        second d x d array is built."""
+        array and made exactly Hermitian as (P + P^dagger)/2 in place
+        (`linalg.hermitian_part`), so no second d x d array is built."""
         u, lam = self.spectrum
-        post = (u * lam) @ u.conj().T
-        for rows in row_blocks(len(post), len(post)):
-            tile = np.conjugate(post[:rows.stop, rows].T)
-            tile += post[rows, :rows.stop]
-            tile /= 2.0
-            post[rows, :rows.stop] = tile
-            np.conjugate(tile[:, :rows.start].T, out=post[:rows.start, rows])
-        return post
+        return hermitian_part((u * lam) @ u.conj().T)
 
     @property
     def factor(self) -> np.ndarray:

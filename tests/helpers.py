@@ -10,7 +10,7 @@ from qmc import checker
 from qmc import linalg as la
 from qmc import logic as lg
 from qmc import qts
-from qmc.errors import ParseError
+from qmc.errors import DimensionMismatch, InvalidDensityMatrix, ParseError
 from qmc.parsing import (EOF, IDENT, IMAG, NUMBER, PUNCT, STRING, Token,
                          TokenStream)
 
@@ -228,6 +228,55 @@ def reference_fingerprint(state):
     sym = np.round((state + state.conj().T) / 2.0, checker.FP_DECIMALS)
     sym += 0.0
     return hashlib.blake2b(sym.tobytes(), digest_size=16).hexdigest()
+
+
+def reference_spectrum(state):
+    """The spectral factor (U, lambda) that `qts.Configuration` builds from
+    a dense state, computed as it was before the live block was found
+    first: one scan of the whole state, a block of rows at a time, checks
+    finite entries and Hermiticity and collects the live indices, and the
+    one `eigh` then reads the live rows and columns.  Raises what the
+    constructor raises, with the same message."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim != 2 or state.shape[0] != state.shape[1]:
+        raise DimensionMismatch(f"state shape {state.shape}")
+    d = len(state)
+    defect = 0.0
+    live = np.zeros(d, dtype=bool)
+    with np.errstate(over="ignore"):
+        for rows in la.row_blocks(d, d):
+            diff = np.conjugate(state[:, rows].T)
+            if not (np.isfinite(diff).all()
+                    and np.isfinite(state[rows]).all()):
+                raise DimensionMismatch(
+                    "configuration state has a non-finite entry")
+            diff -= state[rows]
+            block = float(np.abs(diff).max(initial=0.0))
+            if not block <= la.TOL_HERM_STATE:
+                raise DimensionMismatch(
+                    "configuration state is not Hermitian")
+            defect = max(defect, block)
+            nonzero = state[rows] != 0
+            live[rows] |= nonzero.any(axis=1)
+            live |= nonzero.any(axis=0)
+        tr = float(np.trace(state).real)
+    if not abs(tr - 1.0) <= la.TOL_NORM:
+        raise DimensionMismatch(f"configuration state trace {tr}")
+    if defect > la.TOL_HERM:
+        raise InvalidDensityMatrix("matrix is not Hermitian")
+    idx = np.flatnonzero(live)
+    w, v = np.linalg.eigh(
+        state if len(idx) == d else state[np.ix_(idx, idx)])
+    if w[0] < -la.TOL_HERM_STATE:
+        raise InvalidDensityMatrix(
+            "density matrix is not positive semidefinite")
+    keep = w > qts._SPECTRUM_FLOOR * w[-1]
+    vecs = v[:, keep][:, ::-1]
+    if len(idx) < d:
+        scattered = np.zeros((d, vecs.shape[1]), dtype=complex)
+        scattered[idx] = vecs
+        vecs = scattered
+    return vecs, w[keep][::-1]
 
 
 def dense_step(system, config):

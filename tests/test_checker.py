@@ -18,8 +18,8 @@ from qmc.errors import (DimensionMismatch, InvalidDensityMatrix,
 from helpers import (ReferenceLabeling, dense_build_graph, dense_step,
                      loop_qts, random_closing_qts, random_closing_state,
                      random_density, random_state_formula, random_subspace,
-                     random_unit_vector, reference_fingerprint,
-                     unmerged_build_graph)
+                     random_unit_vector, random_unitary,
+                     reference_fingerprint, unmerged_build_graph)
 from oracle import PathOracle
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -365,6 +365,33 @@ class TestAgainstPathOracle:
             assert (int(idx) in members) == \
                 lg.satisfies_atomic(state, prop, bindings)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 1024])
+    def test_batched_labels_match_per_node_membership(self, rng,
+                                                      monkeypatch, width):
+        # random graphs, chunks of `width` columns (so the mixed nodes'
+        # supports are split between chunks), and basis, co-basis and
+        # `true` targets: one label per node, as `linalg.contains` decides
+        for _ in range(6):
+            n = int(rng.integers(1, 4))
+            d = 2 ** n
+            system = random_closing_qts(rng, n, int(rng.integers(1, 4)))
+            rho0 = random_density(rng, d, int(rng.integers(1, d + 1)))
+            graph = checker.build_graph(system, rho0, bound=6)
+            sups = [node.config.support() for node in graph.nodes]
+            inside = rng.choice(len(sups), size=min(2, len(sups)),
+                                replace=False)
+            bindings = {"g": la.join([sups[i] for i in inside]
+                                     + [random_subspace(rng, d, 1)])}
+            monkeypatch.setattr(la, "CHUNK", width * d)
+            for text in ("[g]", "[~g]", "true"):
+                prop = lg.parse_formula(text).prop
+                target = lg.eval_prop(prop, bindings, ambient_dim=d)
+                want = {i for i, sup in enumerate(sups)
+                        if la.contains(target, sup)}
+                assert graph.label_set(prop, bindings) == want
+                if text != "[~g]":
+                    assert set(inside.tolist()) <= want
+
 
 def _dense_support(config, rtol=la.TOL_EIG):
     return la.support(config.state, rtol)
@@ -554,6 +581,114 @@ class TestKeyRangeDedup:
         assert len(states) == 2
         assert np.abs(states[0] - pure(PLUS)).max() < 1e-12
         assert np.abs(states[1] - pure(MINUS)).max() < 1e-12
+
+
+def _fast_within_tol(a, spectrum):
+    """`checker._within_tol`'s own decision on the pair, or None where it
+    leaves the pair to the blockwise check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checker, "_blockwise_within_tol", lambda a, b: None)
+        return checker._within_tol(a, spectrum)
+
+
+class TestCertifiedMerge:
+    """`_within_tol` accepts a merge from an O(d r^2) bound on
+    max|A A^dagger - B B^dagger|, refuses one from the exact diagonals,
+    and leaves only the pairs within a rounding margin of TOL_FP to the
+    blockwise check.  Every decision it makes must be the blockwise
+    one."""
+
+    @given(st.data())
+    def test_fast_decision_is_the_blockwise_one(self, data):
+        d = data.draw(st.integers(1, 64))
+        r = data.draw(st.integers(1, min(4, d)))
+        case = data.draw(st.sampled_from(["diagonal", "inside", "outside"]))
+        # distance = TOL_FP (1 + s), s straddling 0 down to 1e-9
+        s = data.draw(st.just(0.0) | st.builds(
+            lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+            st.floats(-9.0, -0.5)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        lam = np.sort(rng.random(r) + 0.05)[::-1]
+        lam /= lam.sum()
+        gauge = random_unitary(rng, r)
+        target = checker.TOL_FP * (1.0 + s)
+        if case == "diagonal":
+            # Q holds basis vectors, so the bound is the distance: one
+            # eigenvalue moves by target
+            cols = rng.choice(d, size=r, replace=False)
+            q = np.zeros((d, r), dtype=complex)
+            q[cols, np.arange(r)] = np.exp(2j * np.pi * rng.random(r))
+            k = int(rng.integers(r))
+            moved = lam.copy()
+            moved[k] += target if rng.random() < 0.5 or lam[k] < 2 * target \
+                else -target
+            a = (q * np.sqrt(moved)) @ gauge
+        else:
+            g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+            q = np.linalg.qr(g)[0]
+            e = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+            e = q @ (q.conj().T @ e) if case == "inside" \
+                else e - q @ (q.conj().T @ e)
+            if not np.abs(e).max() > 1e-12:
+                return  # d = r leaves no outside
+            base = (q * np.sqrt(lam)) @ gauge
+
+            def dist(t):
+                a = base + t * e
+                return np.abs(a @ a.conj().T
+                              - (q * lam) @ q.conj().T).max()
+            lo, hi = 0.0, 1.0
+            while dist(hi) < target:
+                hi *= 2.0
+            for _ in range(80):
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if dist(mid) < target else (lo, mid)
+            a = base + hi * e
+        b = q * np.sqrt(lam)
+        want = checker._blockwise_within_tol(a, b)
+        got = _fast_within_tol(a, (q, lam))
+        assert got in (None, want)
+        if case == "diagonal" and abs(s) >= 1e-6:
+            assert got is want
+
+    def test_a_pair_at_the_tolerance_reaches_the_blockwise_check(self):
+        lam = np.array([0.75, 0.25])
+        q = np.eye(4, 2, dtype=complex)
+        a = q * np.sqrt(lam + [checker.TOL_FP, 0.0])
+        assert _fast_within_tol(a, (q, lam)) is None
+        calls = []
+        blockwise = checker._blockwise_within_tol
+
+        def spy(a, b):
+            calls.append(b)
+            return blockwise(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checker, "_blockwise_within_tol", spy)
+            assert checker._within_tol(a, (q, lam)) is blockwise(
+                a, q * np.sqrt(lam))
+        assert len(calls) == 1
+
+    def test_ghz_noisy_never_reaches_the_blockwise_check(self, monkeypatch):
+        # n = 10, from the rank-1 root the CLI builds for |0...0>: the
+        # terminal self-loop merges, and every merge is certified
+        system, _ = _ghz_noisy(10)
+        d = 2 ** 10
+        root = qts.Configuration.from_factor(
+            system.initial, np.eye(d, 1, dtype=complex), np.ones(1))
+        confirms, fallbacks = [], []
+        within = checker._within_tol
+
+        def counting(a, spectrum):
+            confirms.append(within(a, spectrum))
+            return confirms[-1]
+        monkeypatch.setattr(checker, "_within_tol", counting)
+        monkeypatch.setattr(checker, "_blockwise_within_tol",
+                            lambda a, b: fallbacks.append(a))
+        graph = checker.build_graph(system, root)
+        assert True in confirms
+        assert fallbacks == []
+        last = graph.nodes[-1]
+        assert [t for t, _ in last.out] == [last.index]
 
 
 class TestFactorOnlyNodes:

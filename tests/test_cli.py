@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from qmc import channel as ch
 from qmc import cli, kets, qts
-from qmc.parsing import MAX_DEPTH
+from qmc import linalg as la
+from qmc.parsing import MAX_DEPTH, parse_text
 
 from test_logic import DEEP_SHAPES
 
@@ -530,6 +531,78 @@ class TestInitStates:
         assert out == ""
         assert err == ("qmc: error: 1:18: unexpected text after the density "
                        "matrix, got 'junk'\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[[1, 0], [1e-3, 0]]", "density matrix is not Hermitian"),
+        ("[[0.5, 1e308], [-1e308, 0.5]]", "density matrix is not Hermitian"),
+        ("[[0.5, 0], [0, 0.4]]", "density matrix trace is 0.9, expected 1"),
+        ("[[0, 0], [0, 0]]", "density matrix trace is 0.0, expected 1")])
+    def test_malformed_density_matrix_rejected(self, capsys, tmp_path, text,
+                                               message):
+        # RuntimeWarnings are errors in this suite: the overflowing
+        # difference is refused without one
+        rho = tmp_path / "bad.dm"
+        rho.write_text(text + "\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", str(FIXTURES / "xloop.qts"),
+            "--init", str(rho))
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == f"qmc: error: {message}\n"
+
+    def test_density_file_is_normalised_in_place(self, tmp_path, rng):
+        # (rho + rho^dagger)/(2 tr), made a block of rows at a time, gives
+        # the root the whole-matrix expression gives; d = 512 is four
+        # blocks of rows, and the state lives on 40 indices across them
+        system = qts.parse_model("qubits 9\nlocations l0\ninitial l0\n"
+                                 "transitions\n  l0 -> l0 : gate I[1]\n")
+        d, k = 2 ** 9, 40
+        g = rng.normal(size=(k, 3)) + 1j * rng.normal(size=(k, 3))
+        sub = g @ g.conj().T
+        sub *= (1.0 + 1e-7) / np.trace(sub).real
+        sub += 1e-9 * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        rho = np.zeros((d, d), dtype=complex)
+        idx = np.sort(rng.choice(d, size=k, replace=False))
+        rho[np.ix_(idx, idx)] = sub
+        path = tmp_path / "rho.dm"
+        path.write_text(qts._format_matrix(rho.tolist()))
+        root = cli._load_init(cli.RunConfig("m", init=str(path)), system)
+        tr = float(np.trace(rho).real)
+        want = qts.Configuration("l0", (rho + rho.conj().T) / (2.0 * tr))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(root.spectrum, want.spectrum))
+
+    def test_density_file_checks_add_at_most_one_block(self, tmp_path,
+                                                       monkeypatch):
+        # |0...0><0...0| on 8 qubits, whose 1 MiB matrix is one block of
+        # rows.  The parent's `_load_init` peaked at 3.51 MiB against 3.32
+        # MiB for `parse_text` alone; its checks after the read, with the
+        # read matrix given, peaked at 2.69 MiB, and 1.69 MiB here (the
+        # text, one block of differences and their magnitudes)
+        d = 2 ** 8
+        text = "[" + ", ".join("[" + ", ".join(
+            "1" if r == c == 0 else "0" for c in range(d)) + "]"
+            for r in range(d)) + "]\n"
+        path = tmp_path / "rho.txt"
+        path.write_text(text, encoding="utf-8")
+        system = qts.parse_model("qubits 8\nlocations l0\ninitial l0\n"
+                                 "transitions\n  l0 -> l0 : gate I[1]\n")
+        cfg = cli.RunConfig(model="m", init=str(path))
+        block = la.BLOCK * np.dtype(complex).itemsize
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        cli._load_init(cfg, system)  # imports and caches come first
+        puncts = ["[", "]", ",", "+", "-"]
+        parse = peak(lambda: parse_text(text, puncts, cli._density_literal))
+        assert peak(lambda: cli._load_init(cfg, system)) <= parse + block
+        read = parse_text(text, puncts, cli._density_literal)
+        monkeypatch.setattr(cli, "parse_text", lambda *args: read)
+        assert peak(lambda: cli._load_init(cfg, system)) <= 2 * block
 
     CYCLE_CTQL = ('let z = span { "|0>" }\nassert "a" : A G [z]\n'
                   'assert "b" : E X [z]\n')

@@ -215,6 +215,26 @@ class TestContains:
         with pytest.raises(DimensionMismatch):
             la.contains(span(KET0), np.zeros(4))
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 64])
+    def test_each_matches_one_at_a_time(self, rng, monkeypatch, width):
+        # chunks of `width` columns, which split the rank-2 and rank-3
+        # bases; rank-0 subspaces are contained in everything
+        d = 8
+        monkeypatch.setattr(la, "CHUNK", width * d)
+        x = random_subspace(rng, d, 3)
+        subs = [random_subspace(rng, d, int(k))
+                for k in rng.integers(0, 4, size=10)]
+        subs += [la.Subspace(x.basis[:, :2]), la.Subspace.zero(d),
+                 la.Subspace(x.basis[:, :1])]
+        for target in (x, la.orthocomplement(x), la.Subspace.full(d),
+                       la.Subspace.zero(d)):
+            got = la.contains_each(target, subs)
+            assert got.tolist() == [la.contains(target, s) for s in subs]
+        assert la.contains_each(x, subs[-3:]).all()
+        assert la.contains_each(x, []).tolist() == []
+        with pytest.raises(DimensionMismatch):
+            la.contains_each(x, [la.Subspace.zero(4)])
+
 
 class TestProjector:
     def test_zero_subspace(self):

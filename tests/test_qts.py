@@ -16,7 +16,8 @@ from qmc.errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                         UnknownGate, UnknownLocation)
 
 from helpers import (dense_step, loop_qts, random_channel, random_circuit,
-                     random_density, random_unit_vector, trace_distance)
+                     random_density, random_unit_vector, reference_spectrum,
+                     trace_distance)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -489,6 +490,45 @@ class TestOneCheckPerRule:
             qts.kraus_edge("a", "b", [2.0 * np.eye(2)], (1,), 1)
         assert info.value.defect == pytest.approx(3.0)
 
+    def test_each_location_sums_its_kraus_set_once(self, monkeypatch):
+        # a location whose one outgoing edge is trace preserving was
+        # checked when that edge's channel was built, so only the location
+        # with two edges builds a channel of its own
+        edges = [qts.gate_edge("a", "b", "H", (1,), 2),
+                 qts.kraus_edge("b", "c", [np.sqrt(0.5) * np.eye(2),
+                                           np.sqrt(0.5) * ch.PAULI_X],
+                                (2,), 2),
+                 qts.measure_edge("c", "d", (1,), 0, 2),
+                 qts.measure_edge("c", "e", (1,), 1, 2),
+                 qts.gate_edge("d", "d", "I", (1,), 2),
+                 qts.gate_edge("e", "e", "CX", (2, 1), 2)]
+        built = []
+
+        class Counting(ch.SuperOperator):
+            def __post_init__(self):
+                built.append(len(self.kraus))
+                super().__post_init__()
+
+        monkeypatch.setattr(ch, "SuperOperator", Counting)
+        qts.QuantumTransitionSystem(2, tuple("abcde"), "a", tuple(edges))
+        assert built == [2]
+
+    def test_a_lone_reducing_edge_is_refused_at_its_location(self):
+        edge = qts.measure_edge("a", "b", (1,), 0, 1)
+        with pytest.raises(NormalisationViolation) as info:
+            qts.QuantumTransitionSystem(
+                1, ("a", "b"), "a",
+                (edge, qts.gate_edge("b", "b", "I", (1,), 1)))
+        assert str(info.value) == ("outgoing operators at location 'a' sum "
+                                   "to a map with normalisation defect "
+                                   "1.000e+00")
+        with pytest.raises(NormalisationViolation) as info:
+            qts.parse_model("qubits 1\nlocations a b\ninitial a\n"
+                            "transitions\n  a -> b : measure M[1] = 0\n"
+                            "  b -> b : gate I[1]\n")
+        assert str(info.value) == ("5:3: location 'a': outgoing operators "
+                                   "have normalisation defect 1.000e+00")
+
 
 class TestTeleportation:
     @pytest.mark.parametrize("seed", range(5))
@@ -715,6 +755,82 @@ class TestConfiguration:
     def test_rejects_unnormalised(self):
         with pytest.raises(DimensionMismatch):
             qts.Configuration("l0", np.eye(2))
+
+    # fault kinds for the live-block test: (entry, place it on one side
+    # only); a trace fault scales the state instead
+    _FAULTS = {"nan": (np.nan, False), "inf": (np.inf, False),
+               "-inf": (-np.inf, True), "big": (1e308, True),
+               "herm": (2e-9, True), "gross": (2e-6, True),
+               "neg": (-0.25, False), "trace": (None, False)}
+
+    @given(st.data())
+    def test_live_block_matches_the_whole_state_scan(self, data):
+        # sparse, dense and scattered-live states, in either memory order,
+        # with up to two faults anywhere: inside or outside the live block,
+        # in any block of rows (d = 300 and 512 have two and four): the
+        # constructor must give the spectrum, or raise the exception, that
+        # one scan of the whole state gives
+        d = data.draw(st.sampled_from([1, 2, 8, 64, 300, 512]))
+        kind = data.draw(st.sampled_from(["sparse", "dense", "scattered"]))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        k = {"sparse": 1, "dense": min(d, 64),
+             "scattered": int(rng.integers(1, min(d, 16) + 1))}[kind]
+        idx = np.sort(rng.choice(d, size=k, replace=False))
+        if kind == "dense" and k == d:
+            idx = np.arange(d)
+        state = np.zeros((d, d), dtype=complex)
+        rank = int(rng.integers(1, k + 1))
+        state[np.ix_(idx, idx)] = random_density(rng, k, rank)
+        faults = data.draw(st.lists(st.sampled_from(sorted(self._FAULTS)),
+                                    max_size=2))
+        # half the faults sit on the first or last row of a block of rows
+        rows = max(1, la.BLOCK // d)
+        edges = sorted({x for b in range(0, d, rows)
+                        for x in (b, min(b + rows, d) - 1)})
+        for fault in faults:
+            value, one_side = self._FAULTS[fault]
+            i, j = (int(rng.choice(edges)) if rng.random() < 0.5
+                    else int(rng.integers(d)) for _ in range(2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if fault == "trace":
+                    state *= 1.5
+                elif fault == "neg":
+                    state[i, i] += value
+                    state[j, j] -= value
+                elif one_side and i == j:
+                    state[i, i] += complex(0.0, value)
+                else:
+                    state[i, j] += value
+                    if not one_side:
+                        state[j, i] += np.conj(value)
+        if data.draw(st.booleans()):
+            state = np.asfortranarray(state)  # rows are not contiguous
+        try:
+            want = reference_spectrum(state)
+        except QmcError as exc:
+            with pytest.raises(type(exc)) as got:
+                qts.Configuration("l0", state)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            vecs, vals = qts.Configuration("l0", state).spectrum
+            assert np.array_equal(vecs, want[0])
+            assert np.array_equal(vals, want[1])
+
+    def test_two_faults_are_met_in_the_whole_state_order(self):
+        # the Hermiticity defect's rows come before the NaN's, so the
+        # whole-state scan meets it first, though the live block is one
+        # block of rows
+        d = 512
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        rho[300, 7] = 2e-6
+        rho[500, 500] = np.nan
+        with pytest.raises(DimensionMismatch, match="not Hermitian"):
+            reference_spectrum(rho)
+        with pytest.raises(DimensionMismatch, match="not Hermitian"):
+            qts.Configuration("l0", rho)
 
     def test_hermiticity_check_reads_every_row_block(self):
         # d = 512 is four blocks of rows; the defect sits in the third
