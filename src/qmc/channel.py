@@ -31,14 +31,20 @@ on its target qubits and `qts.step` contracts only those axes; the dense
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (BadParameter, DimensionMismatch, NormalisationViolation,
                      RepeatedQubit, TargetOutOfRange, UnknownGate)
 from .linalg import TOL_NORM, _frozen
+
+# The largest entry of |E^dagger E - I| a unitary channel's one Kraus
+# operator may have: a few ulps, which every library gate meets (at most
+# one ulp) and a literal that only TOL_NORM admits does not.
+_UNITARY_DEFECT = 4 * np.finfo(float).eps
 
 
 class TraceClass(Enum):
@@ -54,11 +60,16 @@ class SuperOperator:
     ones (measurement branches) only require the defect I - sum E'E to be
     positive semidefinite.  This is the one place a Kraus sum is checked:
     a set that breaks its rule raises `NormalisationViolation`, a wrong
-    shape plain `DimensionMismatch`."""
+    shape plain `DimensionMismatch`.
+
+    The same check decides `_unitary`: one Kraus operator E with no entry
+    of E^dagger E - I above `_UNITARY_DEFECT`.  A channel is immutable, so
+    the transitions of one model that apply the same gate share one."""
 
     n_qubits: int
     kraus: tuple
     trace_class: TraceClass = TraceClass.PRESERVING
+    _unitary: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -91,6 +102,22 @@ class SuperOperator:
             raise NormalisationViolation(
                 "trace-reducing channel exceeds the identity", defect=worst)
         object.__setattr__(self, "kraus", mats)
+        object.__setattr__(self, "_unitary", (
+            len(mats) == 1 and self.trace_class is TraceClass.PRESERVING
+            and worst <= _UNITARY_DEFECT))
+
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        """The Kraus operators stacked into one read-only K 2^n x 2^n
+        matrix, its columns in the order `qts._apply_local` lays out the
+        target axes: wire 1 most significant.  This is the left operand
+        `np.tensordot` would build on every call, built once."""
+        n = self.n_qubits
+        # row wires n..1 after the Kraus index, then the column wires 1..n
+        cols = [2 * n - j + 1 for j in range(1, n + 1)]
+        stacked = np.stack(self.kraus).reshape((-1,) + (2,) * (2 * n))
+        stacked = stacked.transpose(list(range(n + 1)) + cols)
+        return _frozen(stacked.reshape(-1, self.dim))
 
     @property
     def dim(self) -> int:

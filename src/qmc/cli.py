@@ -289,8 +289,11 @@ def cmd_reach(cfg: RunConfig) -> int:
         if cfg.verify:
             v = result["verify"]
             dims = " ".join(f"{k}={d}" for k, d in v["dims"].items())
-            print(f"verify: {dims} max_residual={_sig(v['max_residual'])} "
-                  f"agree={v['agree']}")
+            # the residual is float noise when the routes agree, so it is
+            # printed only when they do not; JSON keeps it always
+            resid = "" if v["agree"] else \
+                f" max_residual={_sig(v['max_residual'])}"
+            print(f"verify: {dims}{resid} agree={v['agree']}")
     return EXIT_HOLDS
 
 

@@ -70,6 +70,12 @@ def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
+    if len(a) * len(a) <= BLOCK:
+        # one block of rows covers `a`: the same pass on the whole matrix,
+        # without the loop's overhead (2-3 us a call at d <= 32)
+        diff = np.conjugate(a.T)
+        diff -= a
+        return bool(np.abs(diff).max(initial=0.0) <= tol)
     for rows in row_blocks(len(a), len(a)):
         diff = np.conjugate(a[:, rows].T)
         diff -= a[rows]
@@ -150,6 +156,15 @@ class Subspace:
         return self._basis.shape[1]
 
     @classmethod
+    def _held(cls, basis: np.ndarray) -> "Subspace":
+        """The subspace of `basis`, a read-only array of orthonormal columns
+        whose maker has checked them, held as it is: no Gram check and no
+        copy."""
+        out = object.__new__(cls)
+        out._basis, out._perp = basis, None
+        return out
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(np.zeros((ambient_dim, 0)))
 
@@ -190,11 +205,22 @@ def spectral_support(vecs: np.ndarray, vals: np.ndarray,
     """Support of the Hermitian PSD matrix vecs diag(vals) vecs^dagger
     (orthonormal columns, any order): the columns whose value exceeds
     `rtol` times the largest.  A matrix with no positive value has zero
-    support."""
+    support.
+
+    The columns are held as they are, with no second Gram check: they
+    come from `eigh` or from a configuration's factor, which was checked
+    when it was made.  When they are one block, as they are for values in
+    either order, the basis is a read-only view of `vecs`, not a copy."""
     top = vals.max(initial=0.0)
     if top <= 0.0:
         return Subspace.zero(vecs.shape[0])
-    return Subspace(vecs[:, vals > rtol * top])
+    idx = np.flatnonzero(vals > rtol * top)
+    if idx[-1] - idx[0] + 1 == len(idx):
+        cols = vecs[:, idx[0]:idx[-1] + 1]
+    else:
+        cols = vecs[:, idx]
+    cols.setflags(write=False)  # this array only, never `vecs`
+    return Subspace._held(cols)
 
 
 def join(subspaces) -> Subspace:
@@ -266,14 +292,17 @@ def contains_each(x: Subspace, subspaces,
     CHUNK entries (one column if d exceeds that), which may split one
     basis, and each chunk is tested at once; a subspace is contained when
     none of its columns fails, so the zero subspace is.  No stack of every
-    basis is built."""
+    basis is built, and the whole space (`true`, the co-basis of the zero
+    subspace) contains every subspace without a column being tested."""
     d = x.ambient_dim
-    bases = []
+    subspaces = list(subspaces)
     for s in subspaces:
         if s.ambient_dim != d:
             raise DimensionMismatch(
                 f"ambient dims differ: {s.ambient_dim} vs {d}")
-        bases.append(s.basis)
+    if x._perp is not None and x._perp.dim == 0:
+        return np.ones(len(subspaces), dtype=bool)
+    bases = [s.basis for s in subspaces]
     # owner[c] is the subspace that stacked column c comes from
     owner = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
     chunk = np.empty((d, min(max(1, CHUNK // d), len(owner))), dtype=complex)

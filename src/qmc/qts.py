@@ -13,10 +13,12 @@ and the tests; nothing on the parse -> build -> check path builds it.
 
 A configuration holds nothing but its state's spectral factor (U,
 lambda), state = U diag(lambda) U^dagger: O(d r) numbers for a rank-r
-state.  Stepping maps the factor through the Kraus operators and one thin
-SVD, so only a configuration built from a dense state needs an
-eigendecomposition, of the rows and columns its state occupies (its live
-block).  One pass over the dense state finds that block, and every other
+state.  Stepping maps the factor through the Kraus operators; a unitary
+edge maps U to the orthonormal E U and keeps lambda, and any other edge
+takes one thin SVD of the mapped factor (see `step`).  Every factor passes
+one Gram check as its configuration is made.  Only a configuration built
+from a dense state needs an eigendecomposition, of the rows and columns
+its state occupies (its live block).  One pass over the dense state finds that block, and every other
 check reads the block alone, so a dense |0...0><0...0| root costs one
 pass and a 1 x 1 `eigh`.  The checker reads every node's support and
 trace digest straight from the factor.  The dense state is rebuilt only
@@ -27,6 +29,12 @@ the one place a transition is validated: `channel.check_targets` checks
 its targets and arity, `channel.SuperOperator` its normalisation.  The
 circuit compiler and the parser add no checks of their own; the parser
 only re-raises a constructor's error at the transition's position.
+Within one `parse_model` or `compile_circuit` call each distinct library
+gate (its name as written and the bits of its parameters) and each
+distinct projector (its number of targets and outcome) is built and
+checked once, and every edge that applies it shares that immutable
+channel, with its stacked Kraus matrix (`_apply_local`); nothing is kept
+between calls.  A `kraus` literal has a channel of its own.
 
 This module also owns the textual model format (see docs/model_format.md
 for the grammar).  Each transition keeps the surface form it was written
@@ -40,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +66,11 @@ from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
 # leave the spectral factor; keeping them would multiply its rank by the
 # Kraus count on every noisy step.
 _SPECTRUM_FLOOR = 1e-24
+
+# The Gram defect up to which a unitary edge's successor keeps the columns
+# its parent's factor is mapped to.  Each step adds about an ulp, so this
+# is reached only after thousands of steps, and is far below TOL_ORTHO.
+_UNITARY_DRIFT = 1e-12
 
 _PUNCTS = ["->", ":", ",", ";", "[", "]", "{", "}", "(", ")", "=", "+", "-"]
 _KEYWORDS = {"qubits", "locations", "initial", "transitions",
@@ -97,29 +111,65 @@ class Transition:
     targets: tuple
     n_qubits: int
     spec: object  # GateSpec | KrausSpec | MeasureSpec
-    _op: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "targets", ch.check_targets(
             self.targets, self.local.kraus[0].shape, self.n_qubits))
 
-    @property
+    @cached_property
     def op(self) -> ch.SuperOperator:
-        if not self._op:
-            if self.targets == tuple(range(1, self.n_qubits + 1)):
-                self._op.append(self.local)
-            else:
-                self._op.append(ch.embed(self.local, self.targets,
-                                         self.n_qubits))
-        return self._op[0]
+        if self.targets == tuple(range(1, self.n_qubits + 1)):
+            return self.local
+        return ch.embed(self.local, self.targets, self.n_qubits)
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The two axis orders of `_apply_local`.  `into` takes the factor,
+        reshaped to one axis per qubit (qubit q on axis n - q) and a last
+        axis of r columns, to the target axes of wires 1..w, the other
+        qubit axes in order, and the columns.  `back` takes the product's
+        axes (Kraus index, row wires w..1, the other qubit axes, columns)
+        to one axis per qubit, the Kraus index and the columns."""
+        n, w = self.n_qubits, len(self.targets)
+        wires = [n - q for q in self.targets]
+        rest = [a for a in range(n) if a not in wires]
+        where = {a: w - j for j, a in enumerate(wires)}
+        where.update({a: w + 1 + i for i, a in enumerate(rest)})
+        into = tuple(wires + rest + [n])
+        back = tuple(where[a] for a in range(n)) + (0, n + 1)
+        return into, back
 
 
-def gate_edge(pre, post, name, targets, n_qubits, params=()) -> Transition:
+def _shared(channels, key, build) -> ch.SuperOperator:
+    """The channel `build()` makes, made and checked once per `key` in the
+    dict `channels` (None keeps nothing), which one model's edges share."""
+    if channels is None or key is None:
+        return build()
+    if key not in channels:
+        channels[key] = build()
+    return channels[key]
+
+
+def _gate_key(name, params):
+    """A gate's key among a model's shared channels: its name as written
+    and the bits of its parameters, so -0.0 and 0.0 stay apart; None, so
+    nothing is shared, for a parameter that is not a real number."""
+    try:
+        return ("gate", name) + tuple(float(p).hex() for p in params)
+    except (TypeError, ValueError):
+        return None
+
+
+def gate_edge(pre, post, name, targets, n_qubits, params=(),
+              channels=None) -> Transition:
     """A named gate; the first listed target plays the gate's first
     (textbook most-significant) wire, so the wire list is reversed onto the
-    little-endian register."""
+    little-endian register.  `channels` is the dict of checked channels the
+    edges of one model share, if any."""
     spec = GateSpec(name.upper(), tuple(targets), tuple(params))
-    local = ch.SuperOperator.unitary(ch.gate_matrix(name, *spec.params))
+    local = _shared(channels, _gate_key(name, spec.params),
+                    lambda: ch.SuperOperator.unitary(
+                        ch.gate_matrix(name, *spec.params)))
     return Transition(pre, post, local, spec.targets[::-1], n_qubits, spec)
 
 
@@ -133,9 +183,12 @@ def kraus_edge(pre, post, matrices, targets, n_qubits) -> Transition:
     return Transition(pre, post, local, spec.targets, n_qubits, spec)
 
 
-def measure_edge(pre, post, targets, outcome, n_qubits, name="M") -> Transition:
+def measure_edge(pre, post, targets, outcome, n_qubits, name="M",
+                 channels=None) -> Transition:
     """One outcome of a computational-basis measurement of `targets`: the
-    projector onto the outcome's little-endian bitstring, and only it."""
+    projector onto the outcome's little-endian bitstring, and only it.
+    `channels` is as for `gate_edge`; a projector's key is its number of
+    targets and its outcome."""
     spec = MeasureSpec(name, tuple(targets), int(outcome))
     d = 2 ** len(spec.targets)
     # the projector grows as 4^k with the target list, so validate it first
@@ -143,10 +196,15 @@ def measure_edge(pre, post, targets, outcome, n_qubits, name="M") -> Transition:
     if not 0 <= spec.outcome < d:
         raise BadParameter(f"no outcome {spec.outcome!r}; the outcomes are "
                            f"0..{d - 1}")
-    proj = np.zeros((d, d), dtype=complex)
-    proj[spec.outcome, spec.outcome] = 1.0
-    local = ch.SuperOperator(len(spec.targets), (proj,),
-                             ch.TraceClass.REDUCING)
+
+    def projector():
+        proj = np.zeros((d, d), dtype=complex)
+        proj[spec.outcome, spec.outcome] = 1.0
+        return ch.SuperOperator(len(spec.targets), (proj,),
+                                ch.TraceClass.REDUCING)
+
+    local = _shared(channels, ("measure", len(spec.targets), spec.outcome),
+                    projector)
     return Transition(pre, post, local, spec.targets, n_qubits, spec)
 
 
@@ -297,7 +355,9 @@ class Configuration:
             scattered = np.zeros((d, vecs.shape[1]), dtype=complex)
             scattered[idx] = vecs
             vecs = scattered
-        self._init(location, probability, (vecs, w[keep][::-1]))
+        if not _gram_defect(vecs) <= TOL_ORTHO:
+            raise DimensionMismatch("configuration factor is not orthonormal")
+        self._init(location, probability, vecs, w[keep][::-1])
 
     @classmethod
     def from_factor(cls, location: str, vecs: np.ndarray, vals: np.ndarray,
@@ -305,26 +365,31 @@ class Configuration:
         """The configuration of state vecs diag(vals) vecs^dagger, for
         orthonormal columns `vecs` and positive `vals`, descending.  The
         arrays are kept, not copied, and made read-only."""
-        gram = vecs.conj().T @ vecs
+        return cls._factored(location, vecs, vals, probability,
+                             _gram_defect(vecs))
+
+    @classmethod
+    def _factored(cls, location, vecs, vals, probability, defect):
+        """`from_factor`, for a factor whose Gram defect is known."""
         # `not x <= tol` also refuses a NaN
-        if not np.abs(gram - np.eye(len(gram))).max(initial=0.0) <= TOL_ORTHO:
+        if not defect <= TOL_ORTHO:
             raise DimensionMismatch("configuration factor is not orthonormal")
         tr = float(vals.sum())
         if not abs(tr - 1.0) <= TOL_NORM:
             raise DimensionMismatch(f"configuration state trace {tr}")
-        vecs.setflags(write=False)
-        vals.setflags(write=False)
         config = object.__new__(cls)
-        config._init(location, probability, (vecs, vals))
+        config._init(location, probability, vecs, vals)
         return config
 
-    def _init(self, location, probability, spectrum):
+    def _init(self, location, probability, vecs, vals):
         if not 0.0 < probability <= 1.0 + TOL_PROB_EXCESS:
             raise DimensionMismatch(
                 f"branch probability {probability} outside (0, 1]")
+        vecs.setflags(write=False)
+        vals.setflags(write=False)
         self.location = location
         self.probability = probability
-        self.spectrum = spectrum
+        self.spectrum = (vecs, vals)
 
     @property
     def state(self) -> np.ndarray:
@@ -342,27 +407,34 @@ class Configuration:
 
     def support(self, rtol: float = TOL_EIG) -> Subspace:
         """The state's support as `linalg.support` defines it, read from
-        the spectral factor."""
+        the spectral factor.  Its basis is a leading block of U's read-only
+        columns, which passed their one Gram check when the configuration
+        was made, held without a copy."""
         return spectral_support(*self.spectrum, rtol)
+
+
+def _gram_defect(vecs: np.ndarray) -> float:
+    """The largest entry of |vecs^dagger vecs - I|: 0 for orthonormal
+    columns, NaN for a non-finite entry."""
+    gram = vecs.conj().T @ vecs
+    return float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
 
 
 def _apply_local(t: Transition, factor: np.ndarray) -> np.ndarray:
     """The stack [E_1 F, ..., E_K F] for the full-register Kraus operators
     E_k of `t.op`, computed from the local ones by contracting the target
-    axes of F in O(K 2^n r 2^t) instead of O(K 4^n r)."""
-    n, w = t.n_qubits, len(t.targets)
-    r = factor.shape[1]
-    # register qubit q is axis n - q of F reshaped to (2,)*n + (r,); wire j
-    # of the stacked local operators is row axis w - j + 1 and column axis
-    # 2w - j + 1, after the Kraus index
-    kraus = np.stack(t.local.kraus).reshape((-1,) + (2,) * (2 * w))
-    out = np.tensordot(kraus, factor.reshape((2,) * n + (r,)),
-                       axes=([2 * w - j + 1 for j in range(1, w + 1)],
-                             [n - q for q in t.targets]))
-    # out: Kraus index, row wires w..1, the untouched qubit axes, r
-    out = np.moveaxis(out, range(w + 1),
-                      [n] + [n - q for q in t.targets[::-1]])
-    return out.reshape(2 ** n, -1)
+    axes of F in O(K 2^n r 2^t) instead of O(K 4^n r).
+
+    The contraction is planned once: the channel keeps its Kraus operators
+    stacked (`SuperOperator._stacked`) and the transition its two axis
+    orders (`Transition._plan`), so a call is one transpose of F, one
+    matrix product and one transpose back.  The operands are the ones
+    `np.tensordot` would build, so the result is bit-identical to it."""
+    n = t.n_qubits
+    into, back = t._plan
+    f = factor.reshape((2,) * n + (-1,)).transpose(into)
+    out = np.dot(t.local._stacked, f.reshape(t.local.dim, -1))
+    return out.reshape((-1,) + f.shape).transpose(back).reshape(2 ** n, -1)
 
 
 def step(sys: QuantumTransitionSystem, config: Configuration):
@@ -373,24 +445,43 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
 
     With L = U sqrt(lambda) the configuration's factor, a branch's
     unnormalised state is S S^dagger for the stack S = [E_1 L, ..., E_K L];
-    its probability is |S|_F^2 and one thin SVD of S gives the successor's
-    spectral factor, which is all the successor holds.  Eigenvalues at or
-    below _SPECTRUM_FLOOR times the largest are dropped as float noise.
-    Each E_k L contracts only the target axes of L (see `_apply_local`), so
-    a step touches O(K d r 2^t) data and builds no d x d matrix."""
+    its probability is p = |S|_F^2.  Each E_k L contracts only the target
+    axes of L (see `_apply_local`), so a step touches O(K d r 2^t) data and
+    builds no d x d matrix.  The successor's spectral factor, which is all
+    it holds, comes one of two ways:
+
+    * on a unitary edge (`SuperOperator._unitary`) S = E U sqrt(lambda),
+      and E U is orthonormal, so the factor is (S / sqrt(lambda),
+      lambda / p), with no decomposition.  Rounding lets its Gram defect
+      grow by about an ulp a step; a successor whose defect exceeds
+      _UNITARY_DRIFT takes the other way instead, so drift is reset long
+      before it nears TOL_ORTHO;
+    * on any other edge, one thin SVD of S, dropping eigenvalues at or
+      below _SPECTRUM_FLOOR times the largest as float noise."""
     transitions = sys.outgoing(config.location)
-    factor = config.factor
+    vecs, vals = config.spectrum
+    root = np.sqrt(vals)
+    factor = vecs * root  # `config.factor`
     results = []
     for t in transitions:
         stack = _apply_local(t, factor)
         p = float(np.vdot(stack, stack).real)
-        if p > TOL_PROB:
+        if not p > TOL_PROB:
+            continue
+        succ = None
+        if t.local._unitary:
+            mapped = stack / root
+            defect = _gram_defect(mapped)
+            if defect <= _UNITARY_DRIFT:
+                succ = Configuration._factored(t.post, mapped, vals / p,
+                                               config.probability * p, defect)
+        if succ is None:
             u, s, _ = np.linalg.svd(stack, full_matrices=False)
             lam = s * s / p
             keep = lam > _SPECTRUM_FLOOR * lam[0]
             succ = Configuration.from_factor(t.post, u[:, keep], lam[keep],
                                              config.probability * p)
-            results.append((succ, p))
+        results.append((succ, p))
     return results
 
 
@@ -433,14 +524,16 @@ class Cond:
         object.__setattr__(self, "branches", dict(self.branches))
 
 
-def _branch_edge(pre, post, cond: Cond, outcome, n_qubits) -> Transition:
+def _branch_edge(pre, post, cond: Cond, outcome, n_qubits,
+                 channels) -> Transition:
     """The edge of one outcome of `cond`: a `measure` edge when its branch
     operator is the computational-basis projector on `cond.qubits`, else a
     Kraus edge carrying the operator."""
     mat = cond.measurement.branch_channel(outcome).kraus[0]
     if (len(mat) == 2 ** len(cond.qubits) and outcome in range(len(mat))
             and mat[outcome, outcome] == 1 and np.count_nonzero(mat) == 1):
-        return measure_edge(pre, post, cond.qubits, outcome, n_qubits)
+        return measure_edge(pre, post, cond.qubits, outcome, n_qubits,
+                            channels=channels)
     return kraus_edge(pre, post, [mat], cond.qubits, n_qubits)
 
 
@@ -451,10 +544,12 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
     measurement fans out one trace-reducing edge per outcome followed by a
     fresh copy of that outcome's branch (the result is a tree).  Every
     terminal location gets an identity self-loop so paths never end.
-    The edge constructors validate every edge."""
+    The edge constructors validate every edge; each distinct library gate
+    and projector is built and checked once, and its edges share it."""
     counter = itertools.count()
     locations = []
     transitions = []
+    channels = {}
 
     def fresh() -> str:
         name = f"l{next(counter)}"
@@ -480,14 +575,14 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
             cond, outcome = node
             post = fresh()
             transitions.append(_branch_edge(pre, post, cond, outcome,
-                                            n_qubits))
+                                            n_qubits, channels))
             stack.append(("node", cond.branches[outcome], post, out))
         elif isinstance(node, Gate):
             post = fresh()
             if node.name is not None:
                 transitions.append(gate_edge(pre, post, node.name,
                                              node.qubits, n_qubits,
-                                             node.params))
+                                             node.params, channels))
             else:
                 transitions.append(kraus_edge(pre, post, node.op.kraus,
                                               node.qubits, n_qubits))
@@ -507,7 +602,8 @@ def compile_circuit(ir, n_qubits: int) -> QuantumTransitionSystem:
             raise MalformedCircuit(f"not a circuit node: {node!r}")
 
     for terminal in terminals:
-        transitions.append(gate_edge(terminal, terminal, "I", (1,), n_qubits))
+        transitions.append(gate_edge(terminal, terminal, "I", (1,), n_qubits,
+                                     channels=channels))
     return QuantumTransitionSystem(n_qubits, tuple(locations), start,
                                    tuple(transitions))
 
@@ -547,7 +643,8 @@ def teleportation_input(psi) -> np.ndarray:
 
 def parse_model(text: str) -> QuantumTransitionSystem:
     """Parse the textual model format; all system invariants are validated
-    and violations carry source positions."""
+    and violations carry source positions.  Each distinct library gate and
+    projector is built and checked once per call, and its edges share it."""
     return parse_text(text, _PUNCTS, _parse_model)
 
 
@@ -576,9 +673,11 @@ def _parse_model(ts: TokenStream) -> QuantumTransitionSystem:
     ts.expect_keyword("transitions")
     transitions = []
     positions = {}
+    channels = {}
     while ts.peek().kind != EOF:
         pre_tok = ts.peek()
-        transitions.append(_parse_transition(ts, n_qubits, set(locations)))
+        transitions.append(_parse_transition(ts, n_qubits, set(locations),
+                                             channels))
         positions.setdefault(transitions[-1].pre, (pre_tok.line,
                                                    pre_tok.column))
 
@@ -602,7 +701,8 @@ def _parse_targets(ts: TokenStream) -> tuple:
     return tuple(targets)
 
 
-def _parse_transition(ts: TokenStream, n_qubits: int, known) -> Transition:
+def _parse_transition(ts: TokenStream, n_qubits: int, known,
+                      channels) -> Transition:
     pre_tok = ts.expect_ident("location")
     if pre_tok.text not in known:
         raise ParseError(f"undeclared location {pre_tok.text!r}",
@@ -630,7 +730,7 @@ def _parse_transition(ts: TokenStream, n_qubits: int, known) -> Transition:
                     break
             ts.expect_punct(")")
         make, args = gate_edge, (name, _parse_targets(ts), n_qubits,
-                                 tuple(params))
+                                 tuple(params), channels)
     elif ts.at_keyword("kraus"):
         ts.next()
         ts.expect_punct("{")
@@ -645,7 +745,8 @@ def _parse_transition(ts: TokenStream, n_qubits: int, known) -> Transition:
         targets = _parse_targets(ts)
         ts.expect_punct("=")
         outcome = ts.expect_int("outcome")
-        make, args = measure_edge, (targets, outcome, n_qubits, name)
+        make, args = measure_edge, (targets, outcome, n_qubits, name,
+                                    channels)
     else:
         raise ParseError(f"expected gate, kraus, or measure, got "
                          f"{op_tok.text!r}", op_tok.line, op_tok.column)

@@ -205,6 +205,27 @@ class TestCheck:
         assert set(report["reports"][0]["timings"]) == {"label_s"}
 
 
+    def test_unitary_loop_of_4096_steps_closes(self, capsys, tmp_path):
+        # RY(2 pi / 4096) from |0>: 4096 unitary steps before the state
+        # returns, whose rounding drift must neither split the cycle nor
+        # break a factor's checks
+        model = tmp_path / "ry.qts"
+        model.write_text(f"qubits 1\nlocations l0\ninitial l0\ntransitions\n"
+                         f"  l0 -> l0 : gate RY({2 * math.pi / 4096!r})[1]\n")
+        ctql = tmp_path / "ry.ctql"
+        ctql.write_text('let one = span { "|1>" }\n'
+                        'assert "reaches_one" : A F [one]\n'
+                        'assert "returns_to_one" : A G E F [one]\n')
+        code, out, err = run_cli(capsys, "check", "--model", str(model),
+                                 "--assert", str(ctql), "--init", "|0>",
+                                 "--bound", "5000", "--format", "json")
+        assert code == cli.EXIT_HOLDS, err
+        reports = json.loads(out)["reports"]
+        assert [r["verdict"] for r in reports] == ["holds", "holds"]
+        assert [(r["nodes"], r["closure"]) for r in reports] == \
+            [(4096, "complete")] * 2
+
+
 class TestKetRoot:
     """A ket `--init` becomes the rank-1 factor of the normalised ket."""
 
@@ -299,6 +320,25 @@ class TestReach:
         assert code == 0, err
         assert f"power_sum={dim} vectorized={dim} fixpoint={dim} " in out
         assert "agree=True" in out
+
+    def test_verify_text_prints_the_residual_only_on_disagreement(
+            self, capsys):
+        # the residual is float noise when the routes agree; JSON keeps it
+        argv = ("reach", "--model", str(FIXTURES / "hloop.qts"), "--init",
+                "|0>", "--verify")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == \
+            "verify: power_sum=2 vectorized=2 fixpoint=2 agree=True"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert 0.0 <= json.loads(out)["verify"]["max_residual"] < 1e-7
+        # no residual is within a membership tolerance of 1e-300
+        code, out, _ = run_cli(capsys, *argv, "--tol-member", "1e-300")
+        assert code == 0
+        line = out.splitlines()[-1]
+        assert line.startswith(
+            "verify: power_sum=2 vectorized=2 fixpoint=2 max_residual=")
+        assert line.endswith(" agree=False")
 
     def test_multi_location_model_rejected(self, capsys):
         code, _, err = run_cli(

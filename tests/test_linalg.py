@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmc import linalg as la
+from qmc import logic as lg
 from qmc.errors import DimensionMismatch, InvalidDensityMatrix
 
 from helpers import random_psd, random_subspace, random_unit_vector
@@ -234,6 +235,47 @@ class TestContains:
         assert la.contains_each(x, []).tolist() == []
         with pytest.raises(DimensionMismatch):
             la.contains_each(x, [la.Subspace.zero(4)])
+
+
+    def test_whole_space_contains_each_without_a_test(self, rng,
+                                                      monkeypatch):
+        # `true` denotes the co-basis of the zero subspace
+        d = 8
+        true = lg.eval_prop(lg.parse_formula("true").prop, {}, ambient_dim=d)
+        subs = [random_subspace(rng, d, k) for k in (0, 1, 3, 8)]
+        want = [la.contains(true, s) for s in subs]
+        monkeypatch.setattr(la, "_contained", None)
+        assert want == [True] * 4
+        assert la.contains_each(true, subs).tolist() == want
+        assert la.contains_each(la.Subspace.full(d), subs).tolist() == want
+        with pytest.raises(DimensionMismatch):
+            la.contains_each(true, subs + [la.Subspace.zero(4)])
+
+
+class TestHeldColumns:
+    def test_spectral_support_holds_a_read_only_block(self, rng):
+        vecs = random_subspace(rng, 6, 6).basis.copy()
+        for vals, cols in (([0.5, 0.3, 0.2, 1e-12, 0.0, 0.0], [0, 1, 2]),
+                           ([0.0, 1e-12, 0.1, 0.2, 0.3, 0.4], [2, 3, 4, 5])):
+            basis = la.spectral_support(vecs, np.array(vals)).basis
+            assert np.shares_memory(basis, vecs)
+            assert np.array_equal(basis, vecs[:, cols])
+            assert not basis.flags.writeable and vecs.flags.writeable
+        basis = la.spectral_support(vecs, np.array([1.0, 0, 1, 0, 0, 0])).basis
+        assert np.array_equal(basis, vecs[:, [0, 2]])
+        assert not basis.flags.writeable
+
+    @pytest.mark.parametrize("d", [1, 4, 32, 256, 300])
+    def test_one_block_hermiticity_matches_the_loop(self, rng, monkeypatch,
+                                                    d):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = g + g.conj().T
+        cases = [h, h + 1e-8 * np.eye(d) * 1j, h.copy()]
+        cases[2][d // 2, 0] = np.nan
+        want = [la.is_hermitian(a) for a in cases]
+        monkeypatch.setattr(la, "BLOCK", 1)
+        assert [la.is_hermitian(a) for a in cases] == want
+        assert want == [True, False, False]
 
 
 class TestProjector:

@@ -16,8 +16,8 @@ from qmc.errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                         UnknownGate, UnknownLocation)
 
 from helpers import (dense_step, loop_qts, random_channel, random_circuit,
-                     random_density, random_unit_vector, reference_spectrum,
-                     trace_distance)
+                     random_density, random_unit_vector, random_unitary,
+                     reference_spectrum, trace_distance)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -60,6 +60,18 @@ def run_to_depth(system, rho0, depth):
     for _ in range(depth):
         frontier = [succ for c in frontier for succ, _ in qts.step(system, c)]
     return frontier
+
+
+def _tensordot_apply(t, factor):
+    """`qts._apply_local` as one `np.tensordot` and `np.moveaxis`."""
+    n, w = t.n_qubits, len(t.targets)
+    kraus = np.stack(t.local.kraus).reshape((-1,) + (2,) * (2 * w))
+    out = np.tensordot(kraus, factor.reshape((2,) * n + (-1,)),
+                       axes=([2 * w - j + 1 for j in range(1, w + 1)],
+                             [n - q for q in t.targets]))
+    out = np.moveaxis(out, range(w + 1),
+                      [n] + [n - q for q in t.targets[::-1]])
+    return out.reshape(2 ** n, -1)
 
 
 def check_normalisation(system):
@@ -249,31 +261,148 @@ class TestFactoredStep:
                                            system.initial,
                                            tuple(transitions))
 
+    def unitary_system(self, rng, n_qubits):
+        # a chain of one library gate, one random unitary literal and one
+        # near-unitary literal (normalisation defect about 5e-10, which
+        # TOL_NORM admits and the unitary test refuses; it shrinks the
+        # trace, as a branch may not gain probability), in random order,
+        # into a loop of a random unitary literal on the whole register:
+        # every step is a single-Kraus edge, and both step paths are taken
+        def targets(k):
+            return tuple(int(q) for q in rng.choice(
+                range(1, n_qubits + 1), size=k, replace=False))
+
+        k = int(rng.integers(1, min(n_qubits, 2) + 1))
+        library = (qts.Gate(targets(2), name="CX") if k == 2 else
+                   qts.Gate(targets(1), name="RY",
+                            params=(float(rng.uniform(-7, 7)),)))
+        literal = qts.Gate(targets(k), op=ch.SuperOperator.from_kraus(
+            [random_unitary(rng, 2 ** k)]))
+        near = qts.Gate(targets(1), op=ch.SuperOperator.from_kraus(
+            [(1.0 - 2.5e-10) * random_unitary(rng, 2)]))
+        chain = [library, literal, near]
+        rng.shuffle(chain)
+        circuit = qts.Seq(qts.Seq(chain[0], chain[1]), chain[2])
+        system = qts.compile_circuit(circuit, n_qubits)
+        loop = random_unitary(rng, 2 ** n_qubits)
+        qubits = tuple(range(1, n_qubits + 1))
+        transitions = [t if t.pre != t.post else
+                       qts.kraus_edge(t.pre, t.post, [loop], qubits,
+                                      n_qubits)
+                       for t in system.transitions]
+        return qts.QuantumTransitionSystem(n_qubits, system.locations,
+                                           system.initial,
+                                           tuple(transitions))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_successors_match_dense_application(self, seed):
         rng = np.random.default_rng(seed)
         n = 1 + seed % 5
         d = 2 ** n
-        system = self.random_system(rng, n)
-        for rank in range(1, d + 1):
-            frontier = [qts.Configuration(system.initial,
-                                          random_density(rng, d, rank))]
-            for _ in range(4):
-                nxt = []
-                for config in frontier:
-                    got = qts.step(system, config)
-                    want = dense_step(system, config)
-                    assert [(s.location, len(s.state)) for s, _ in got] == \
-                        [(s.location, len(s.state)) for s, _ in want]
-                    for (a, pa), (b, pb) in zip(got, want):
-                        assert abs(pa - pb) <= 1e-12
-                        assert abs(a.probability - b.probability) <= 1e-12
-                        assert np.abs(a.state - b.state).max() <= 1e-12
-                        for tol in (1e-12, 1e-8, 1e-4):
-                            assert a.support(tol).same_space(
-                                la.support(b.state, tol))
-                    nxt.extend(s for s, _ in got)
-                frontier = nxt
+        mixed = self.random_system(rng, n)
+        unitary = self.unitary_system(rng, n)
+        kinds = {t.local._unitary for t in unitary.transitions}
+        assert kinds == {True, False}
+        for system in (mixed, unitary):
+            for rank in range(1, d + 1):
+                frontier = [qts.Configuration(system.initial,
+                                              random_density(rng, d, rank))]
+                for _ in range(4):
+                    nxt = []
+                    for config in frontier:
+                        got = qts.step(system, config)
+                        want = dense_step(system, config)
+                        assert [(s.location, len(s.state)) for s, _ in got] \
+                            == [(s.location, len(s.state)) for s, _ in want]
+                        for (a, pa), (b, pb) in zip(got, want):
+                            assert abs(pa - pb) <= 1e-12
+                            assert abs(a.probability - b.probability) <= 1e-12
+                            assert np.abs(a.state - b.state).max() <= 1e-12
+                            for tol in (1e-12, 1e-8, 1e-4):
+                                assert a.support(tol).same_space(
+                                    la.support(b.state, tol))
+                        nxt.extend(s for s, _ in got)
+                    frontier = nxt
+
+    def test_unitary_steps_do_not_drift(self, rng, monkeypatch):
+        # 20 000 H steps from a rank-2 factor: the unitary path keeps each
+        # successor's columns, whose Gram defect grows by about an ulp a
+        # step (H^dagger H is 1 - 2^-52 on its diagonal), so a successor is
+        # re-orthonormalized by an SVD only every few thousand steps, and
+        # the defect never exceeds 1e-12
+        system = qts.parse_model("qubits 2\nlocations l0\ninitial l0\n"
+                                 "transitions\n  l0 -> l0 : gate H[1]\n")
+        config = qts.Configuration.from_factor(
+            "l0", random_unitary(rng, 4)[:, :2], np.array([0.7, 0.3]))
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        worst = 0.0
+        for _ in range(20000):
+            (config, p), = qts.step(system, config)
+            vecs = config.spectrum[0]
+            worst = max(worst, qts._gram_defect(vecs))
+        assert worst <= 1e-12
+        assert len(calls) <= 20
+        assert vecs.shape == (4, 2)
+
+    def test_a_drifted_factor_takes_the_svd_path(self, rng):
+        # a factor 1e-10 from orthonormal is a valid configuration, but a
+        # unitary edge re-orthonormalizes its successor
+        u = random_unitary(rng, 4)[:, :2]
+        drifted = u + 1e-10 * rng.normal(size=u.shape)
+        assert 1e-12 < qts._gram_defect(drifted) <= la.TOL_ORTHO
+        config = qts.Configuration.from_factor("l0", drifted,
+                                               np.array([0.75, 0.25]))
+        system = qts.parse_model("qubits 2\nlocations l0\ninitial l0\n"
+                                 "transitions\n  l0 -> l0 : gate X[2]\n")
+        (succ, p), = qts.step(system, config)
+        assert qts._gram_defect(succ.spectrum[0]) <= 1e-14
+        assert np.abs(succ.state - dense_step(system, config)[0][0].state
+                      ).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plan_matches_tensordot_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            w = int(rng.integers(1, min(n, 3) + 1))
+            targets = tuple(int(q) for q in rng.choice(
+                range(1, n + 1), size=w, replace=False))
+            e = random_channel(rng, w, n_kraus=int(rng.integers(1, 4)))
+            t = qts.kraus_edge("a", "b", e.kraus, targets, n)
+            r = int(rng.integers(1, 2 ** n + 1))
+            f = (rng.normal(size=(2 ** n, r))
+                 + 1j * rng.normal(size=(2 ** n, r)))
+            got = qts._apply_local(t, f)
+            want = _tensordot_apply(t, f)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_hand_built_root_passes_a_gram_check(self, rng, monkeypatch):
+        # every factor is checked once: eigenvectors that are not
+        # orthonormal are refused as the configuration is made
+        eigh = np.linalg.eigh
+
+        def skewed(a):
+            w, v = eigh(a)
+            return w, v * 1.5
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(DimensionMismatch, match="not orthonormal"):
+            qts.Configuration("l0", random_density(rng, 4, 2))
+
+    def test_support_holds_the_factor_columns(self, rng):
+        for config in (qts.Configuration("l0", random_density(rng, 8, 3)),
+                       qts.step(loop_qts(random_channel(rng, 3)),
+                                qts.Configuration(
+                                    "l0", random_density(rng, 8, 2)))[0][0]):
+            vecs, vals = config.spectrum
+            basis = config.support().basis
+            assert not vecs.flags.writeable and not basis.flags.writeable
+            assert np.shares_memory(basis, vecs)
+            assert np.array_equal(basis, vecs[:, :basis.shape[1]])
 
     def test_hand_built_configuration_decomposes_once(self, rng):
         rho = random_density(rng, 4, 2)
@@ -385,6 +514,88 @@ class TestGateLocal:
             tracemalloc.stop()
         assert len(system.transitions) == n + 2
         assert peak < 2 * 2 ** 20
+
+
+_SHARED_MODEL = """qubits 3
+locations a b c d e f g
+initial a
+transitions
+  a -> b : gate CX[1, 2]
+  b -> c : gate CX[2, 3]
+  c -> d : gate RZ(0.0)[1]
+  d -> e : gate RZ(-0.0)[2]
+  e -> f : measure M[3] = 0
+  e -> g : measure M[3] = 1
+  f -> g : measure N[1] = 0
+  f -> g : measure N[1] = 1
+  g -> g : kraus { [[1, 0], [0, 1]] }[1]
+"""
+
+
+class TestSharedChannels:
+    """Each distinct library gate and projector is built and checked once
+    per model, and every edge that applies it shares the channel."""
+
+    def test_edges_of_one_model_share_a_channel(self, monkeypatch):
+        built = []
+        init = ch.SuperOperator.__post_init__
+        monkeypatch.setattr(ch.SuperOperator, "__post_init__",
+                            lambda self: built.append(1) or init(self))
+        system = qts.parse_model(_SHARED_MODEL)
+        cx1, cx2, rz0, rz_neg, m0, m1, n0, n1, _ = system.transitions
+        assert cx1.local is cx2.local
+        # -0.0 and 0.0 are different bits, and stay apart
+        assert rz0.local is not rz_neg.local
+        # a projector is keyed by its target count and outcome
+        assert m0.local is n0.local and m1.local is n1.local
+        assert m0.local is not m1.local
+        # CX, RZ(0.0), RZ(-0.0), two projectors and the literal, and the
+        # sums of locations e and f (11 at one channel per edge)
+        assert len(built) == 8
+        assert qts.parse_model(_SHARED_MODEL).transitions[0].local \
+            is not cx1.local
+
+    def test_kraus_literals_keep_one_channel_each(self):
+        text = ("qubits 1\nlocations a b\ninitial a\ntransitions\n"
+                "  a -> b : kraus { [[0, 1], [1, 0]] }[1]\n"
+                "  b -> a : kraus { [[0, 1], [1, 0]] }[1]\n")
+        first, second = qts.parse_model(text).transitions
+        assert first.local is not second.local
+
+    def test_compiled_edges_share_channels(self):
+        m1 = ch.computational_measurement(1)
+        circuit = qts.Seq(qts.Seq(qts.Gate((1, 2), name="CX"),
+                                  qts.Gate((2, 1), name="CX")),
+                          qts.Cond(m1, (1,), _identity_branches(0, 1)))
+        system = qts.compile_circuit(circuit, 2)
+        cx1, cx2, m0, *rest = system.transitions
+        assert cx1.local is cx2.local
+        identities = [t.local for t in system.transitions
+                      if t.spec.name == "I"]
+        assert len(identities) == 4
+        assert all(i is identities[0] for i in identities)
+        other = qts.compile_circuit(circuit, 2)
+        assert other.transitions[0].local is not cx1.local
+
+    def test_library_gates_are_unitary(self, rng):
+        for name in ("I", "X", "Y", "Z", "H", "S", "T", "CX", "CZ", "SWAP"):
+            assert qts.gate_edge("a", "b", name, (1, 2)[:1 + (
+                name in ("CX", "CZ", "SWAP"))], 2).local._unitary
+        for name in ("RX", "RY", "RZ"):
+            for theta in rng.uniform(-50.0, 50.0, 200):
+                assert qts.gate_edge("a", "b", name, (1,), 1,
+                                     (theta,)).local._unitary
+
+    def test_only_an_exact_single_kraus_channel_is_unitary(self):
+        x = ch.PAULI_X
+        # a normalisation defect of 5e-10, which TOL_NORM admits
+        near = ch.SuperOperator.from_kraus([(1.0 - 2.5e-10) * x])
+        assert near.trace_class is ch.TraceClass.PRESERVING
+        assert not near._unitary
+        assert not ch.noise_library("bit_flip", 0.5)._unitary
+        assert not ch.SuperOperator(1, (np.diag([1.0, 0.0]),),
+                                    ch.TraceClass.REDUCING)._unitary
+        assert ch.SuperOperator.from_kraus([x])._unitary
 
 
 def _identity_branches(*outcomes):
