@@ -57,6 +57,14 @@ def row_blocks(n_rows: int, row_len: int):
         yield slice(i, i + rows)
 
 
+def _gram_defect(vecs: np.ndarray) -> float:
+    """The largest entry of |vecs^dagger vecs - I|: 0 for orthonormal
+    columns, NaN or inf for a non-finite entry, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = vecs.conj().T @ vecs
+    return float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
@@ -131,8 +139,8 @@ class Subspace:
         d, k = b.shape
         if d < 1 or k > d:
             raise DimensionMismatch(f"invalid basis shape {b.shape}")
-        gram = b.conj().T @ b
-        if np.abs(gram - np.eye(k)).max(initial=0.0) > TOL_ORTHO:
+        # `not x <= tol` also refuses a NaN
+        if not _gram_defect(b) <= TOL_ORTHO:
             raise DimensionMismatch("subspace basis columns are not orthonormal")
         self._basis = _frozen(b)
         self._perp = None  # for a co-basis: the subspace it complements

@@ -4,18 +4,17 @@ Every file format is a token stream where `#` starts a comment and
 whitespace (including newlines) only separates tokens; every construct is
 self-delimiting, so the recursive-descent parsers never need layout rules.
 
-A `TokenStream` over a text scans it as the parser reads, with one
-`re.finditer` pass of one compiled pattern per punctuation alphabet: each
-match absorbs the whitespace and comments before one token, and the name
-of the group that matched is the token's kind.  Scanning stops after a
-`[` that another `[` follows.  When `parse_matrix` starts at that `[`,
-a large literal is read straight from the text by `_literal_array`, a
+`tokenize` lexes a whole text in one `re.finditer` pass of one compiled
+pattern per punctuation alphabet: each match absorbs the whitespace and
+comments before one token, and the name of the group that matched is the
+token's kind.  At a `[` that another `[` follows, a matrix literal of 25
+or more entries is read straight from the text by `_literal_array`, a
 fixed sequence of numpy passes over its bytes that makes no token or
-Python number per entry, and scanning resumes after the literal.  Any
-other literal is parsed token by token, which raises every error a
-literal can have.  `parse_text` raises a lexical error anywhere in a text
-ahead of any error the parser raises, as if the whole text had been
-lexed first.
+Python number per entry, and becomes one MATRIX token.  Any other literal
+is lexed token by token and parsed by `parse_matrix`'s token path, which
+raises every error a literal can have.  The whole text is lexed before
+parsing starts, so a lexical error anywhere in it comes ahead of any parse
+error.
 """
 
 from __future__ import annotations
@@ -27,13 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, QmcError
+from .errors import ParseError
 
 IDENT = "IDENT"
 NUMBER = "NUMBER"
 IMAG = "IMAG"
 STRING = "STRING"
 PUNCT = "PUNCT"
+MATRIX = "MATRIX"  # a literal read from the text; its value is the array
 EOF = "EOF"
 
 # The deepest syntax tree the assertion and ket parsers accept (see
@@ -69,108 +69,83 @@ def _scanner(puncts: tuple) -> re.Pattern:
         rf'|(?P<PUNCT>(?!){alts})|(?P<EOF>\Z)|(?P<BAD>.))', re.S)
 
 
+def tokenize(text: str, puncts) -> list:
+    """Token list for the given punctuation alphabet, ending in EOF.  A
+    literal with at least _MIN_READ_COMMAS commas that `_literal_array`
+    reads is one MATRIX token.  No `[` before the end of the last literal
+    tried is tried, so no character is read by two tries."""
+    scanner = _scanner(tuple(puncts))
+    literals = _LITERAL_PUNCTS <= set(puncts)
+    tokens = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without NamedTuple's __new__
+    line, line_start = 1, 0
+    offset = tried = 0  # where to scan from; the end of the last try
+    last = 0  # the last token's start: only a MATRIX token spans a newline
+    while True:
+        for m in scanner.finditer(text, offset):
+            kind = m.lastgroup
+            start = m.start(kind)
+            nl = text.rfind("\n", last, start)
+            if nl >= 0:
+                line += text.count("\n", last, nl + 1)
+                line_start = nl + 1
+            last = start
+            col = start - line_start + 1
+            raw = m[kind]
+            if kind == PUNCT or kind == IDENT:
+                if raw == "[" and literals and start >= tried and \
+                        _ROW_AHEAD.match(text, m.end()):
+                    tried = _literal_end(text, start)
+                    lit = text[start:tried]
+                    if lit.count(",") >= _MIN_READ_COMMAS and \
+                            (mat := _literal_array(lit)) is not None:
+                        append(new(Token, (MATRIX, "matrix literal", mat,
+                                           line, col)))
+                        offset = tried
+                        break
+                append(new(Token, (kind, raw, raw, line, col)))
+            elif kind == NUMBER:
+                imag = raw[-1] == "i"
+                value = float(raw[:-1] if imag else raw)
+                if value == math.inf:
+                    raise ParseError("number literal out of range", line, col)
+                if imag:
+                    append(new(Token, (IMAG, raw, value, line, col)))
+                else:
+                    if m["frac"] is None and m["exp"] is None:
+                        value = int(raw)
+                    append(new(Token, (NUMBER, raw, value, line, col)))
+            elif kind == STRING:
+                append(Token(STRING, raw, raw[1:-1], line, col))
+            elif kind == EOF:
+                # a comment that runs to the end leaves EOF at its `#`
+                if m.end("comment") == len(text):
+                    col = m.start("comment") - line_start + 1
+                append(Token(EOF, "", None, line, col))
+                return tokens
+            elif kind == "QUOTE":
+                raise ParseError("unterminated string literal", line, col)
+            else:
+                raise ParseError(f"unexpected character {raw!r}", line, col)
+
+
 def parse_text(text: str, puncts, parse):
-    """`parse(ts)` on a stream scanning `text`.  When `parse` raises, the
-    rest of the text is scanned first, so a lexical error anywhere in it
-    is what is raised."""
-    ts = TokenStream.scan(text, puncts)
-    try:
-        return parse(ts)
-    except QmcError:
-        try:
-            ts.scan_all()
-        except ParseError as lexical:
-            raise lexical from None
-        raise
+    """`parse(ts)` on a stream over the tokens of `text`."""
+    return parse(TokenStream(tokenize(text, puncts)))
 
 
 class TokenStream:
-    """Cursor over a token list with positioned error reporting; `scan`
-    makes one whose list grows from a text as it is read."""
+    """Cursor over a token list with positioned error reporting."""
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self._text = None  # the text still being scanned, if any
-
-    @classmethod
-    def scan(cls, text: str, puncts) -> "TokenStream":
-        ts = cls([])
-        ts._text = text
-        ts._scanner = _scanner(tuple(puncts))
-        ts._literals = _LITERAL_PUNCTS <= set(puncts)
-        ts._offset = ts._last_start = 0
-        ts._line, ts._line_start = 1, 0
-        return ts
-
-    def _fill(self, i):
-        """Scan until the list holds token i, going on to just past the
-        next `[` that another `[` follows (it may open a matrix literal),
-        or to EOF."""
-        text, tokens = self._text, self.tokens
-        append = tokens.append
-        new = tuple.__new__  # Token(...) without NamedTuple's __new__
-        line, line_start = self._line, self._line_start
-        try:
-            for m in self._scanner.finditer(text, self._offset):
-                kind = m.lastgroup
-                start = m.start(kind)
-                nl = text.rfind("\n", m.start(), start)
-                if nl >= 0:
-                    line += text.count("\n", m.start(), nl + 1)
-                    line_start = nl + 1
-                col = start - line_start + 1
-                raw = m[kind]
-                if kind == PUNCT or kind == IDENT:
-                    append(new(Token, (kind, raw, raw, line, col)))
-                    if raw == "[" and len(tokens) > i and \
-                            _ROW_AHEAD.match(text, m.end()):
-                        break
-                elif kind == NUMBER:
-                    imag = raw[-1] == "i"
-                    value = float(raw[:-1] if imag else raw)
-                    if value == math.inf:
-                        raise ParseError("number literal out of range",
-                                         line, col)
-                    if imag:
-                        append(new(Token, (IMAG, raw, value, line, col)))
-                    else:
-                        if m["frac"] is None and m["exp"] is None:
-                            value = int(raw)
-                        append(new(Token, (NUMBER, raw, value, line, col)))
-                elif kind == STRING:
-                    append(Token(STRING, raw, raw[1:-1], line, col))
-                elif kind == EOF:
-                    # a comment that runs to the end leaves EOF at its `#`
-                    if m.end("comment") == len(text):
-                        col = m.start("comment") - line_start + 1
-                    append(Token(EOF, "", None, line, col))
-                    self._text = None
-                    return
-                elif kind == "QUOTE":
-                    raise ParseError("unterminated string literal", line,
-                                     col)
-                else:
-                    raise ParseError(f"unexpected character {raw!r}", line,
-                                     col)
-        except ParseError:
-            self._text = None
-            raise
-        self._offset, self._last_start = m.end(), start
-        self._line, self._line_start = line, line_start
-
-    def scan_all(self):
-        """Scan the rest of the text, raising its first lexical error."""
-        if self._text is not None:
-            self._fill(math.inf)
 
     def peek(self, ahead: int = 0) -> Token:
         i = self.pos + ahead
-        if i >= len(self.tokens):
-            if self._text is not None:
-                self._fill(i)
-            i = min(i, len(self.tokens) - 1)
-        return self.tokens[i]
+        tokens = self.tokens
+        return tokens[i] if i < len(tokens) else tokens[-1]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -220,35 +195,6 @@ class TokenStream:
         got = tok.text if tok.kind != EOF else "end of input"
         raise ParseError(f"{message}, got {got!r}", tok.line, tok.column)
 
-    def _literal_here(self):
-        """The matrix literal opening at the current token, read from the
-        text, with scanning moved past it; None when the current token is
-        not the last `[` scanned, the literal is small, or `_literal_array`
-        refuses it."""
-        if self._text is None or not self._literals:
-            return None
-        tok = self.peek()
-        if (tok.kind, tok.text) != (PUNCT, "[") or \
-                self.pos != len(self.tokens) - 1:
-            return None
-        text, start = self._text, self._last_start
-        end = _literal_end(text, start)
-        if end is None:
-            return None
-        lit = text[start:end]
-        if lit.count(",") < _MIN_READ_COMMAS:
-            return None
-        mat = _literal_array(lit)
-        if mat is None:
-            return None
-        self.tokens.pop()
-        nl = lit.rfind("\n")
-        if nl >= 0:
-            self._line += lit.count("\n")
-            self._line_start = start + nl + 1
-        self._offset = end
-        return mat
-
 
 # --- matrix literals read from the text -------------------------------------
 #
@@ -259,7 +205,8 @@ class TokenStream:
 # entries in a fixed number of whole-array numpy passes over its bytes.
 # Those passes cost about 0.2 ms however small the literal, which is more
 # than the token parse of a literal with fewer than _MIN_READ_COMMAS commas
-# (a 5 x 5 matrix has 24); such a literal is parsed token by token.
+# (a 5 x 5 matrix has 24); such a literal is lexed token by token.  So is
+# every literal in an alphabet that cannot spell one (_LITERAL_PUNCTS).
 
 _LITERAL_PUNCTS = frozenset("[],+-")
 _ROW_AHEAD = re.compile(r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*\[")
@@ -280,8 +227,8 @@ for _chars, _cls in (("[", _OPEN), ("]", _CLOSE), (",", _COMMA),
 
 
 def _literal_end(text: str, start: int):
-    """The offset just past the literal whose `[` is at `start`, or None
-    when no `]]` follows."""
+    """The offset just past the literal whose `[` is at `start`, or the
+    end of the text when no `]]` follows."""
     end = _LITERAL_END.search(text, start)
     # a match that starts in a comment is not the literal's end; look
     # again past that comment
@@ -291,7 +238,7 @@ def _literal_end(text: str, start: int):
             return end.end()
         end = _LITERAL_END.search(text, text.find("\n", end.start()) + 1
                                   or len(text))
-    return None
+    return len(text)
 
 
 def _pairs(rules: dict) -> np.ndarray:
@@ -446,15 +393,15 @@ def _literal_array(lit: str):
 
 # --- the token-by-token literal parsers --------------------------------------
 #
-# They walk token indices, reading token i as ts.peek(i - ts.pos), which
-# scans on as far as they read.
+# They walk token indices; the EOF token ends every list, so each index
+# they read is that of a token after one that is not EOF.
 
 _SIGNS = {"+": 1.0, "-": -1.0}
 
 
 def _part(ts: TokenStream, i: int, sign: float) -> complex:
     """The real or imaginary part of a complex literal at token i."""
-    tok = ts.peek(i - ts.pos)
+    tok = ts.tokens[i]
     if tok.kind == NUMBER:
         return complex(sign * float(tok.value), 0.0)
     if tok.kind == IMAG:
@@ -468,28 +415,29 @@ def _part(ts: TokenStream, i: int, sign: float) -> complex:
 def _complex_at(ts: TokenStream, i: int) -> tuple:
     """The complex literal at token i and the index after it: `a`, `bi`,
     `a+bi`, `a-bi`, `i`, with an optional sign on the first part."""
-    tok = ts.peek(i - ts.pos)
+    toks = ts.tokens
+    tok = toks[i]
     sign = 1.0
     if tok.kind == PUNCT and tok.text in _SIGNS:
         sign = _SIGNS[tok.text]
         i += 1
     z = _part(ts, i, sign)
     # a+bi / a-bi: only an imaginary continuation belongs to the literal
-    tok = ts.peek(i + 1 - ts.pos)
+    tok = toks[i + 1]
     if tok.kind == PUNCT and tok.text in _SIGNS:
-        nxt = ts.peek(i + 2 - ts.pos)
+        nxt = toks[i + 2]
         if nxt.kind == IMAG or (nxt.kind == IDENT and nxt.text == "i"):
             return z + _part(ts, i + 2, _SIGNS[tok.text]), i + 3
     return z, i + 1
 
 
 def _at_comma(ts: TokenStream, i: int) -> bool:
-    tok = ts.peek(i - ts.pos)
+    tok = ts.tokens[i]
     return tok.text == "," and tok.kind == PUNCT
 
 
 def _expect_at(ts: TokenStream, i: int, text: str) -> int:
-    tok = ts.peek(i - ts.pos)
+    tok = ts.tokens[i]
     if tok.kind != PUNCT or tok.text != text:
         ts.pos = i
         ts.error(f"expected {text!r}")
@@ -504,11 +452,11 @@ def parse_complex(ts: TokenStream) -> complex:
 
 def parse_matrix(ts: TokenStream) -> np.ndarray:
     """Square matrix literal `[[a, b], [c, d]]` of complex entries, as a
-    complex array: read from the text when the stream scans one and the
-    literal reader takes it, else token by token."""
-    mat = ts._literal_here()
-    if mat is not None:
-        return mat
+    complex array: a MATRIX token's, else parsed token by token."""
+    tok = ts.peek()
+    if tok.kind == MATRIX:
+        ts.pos += 1
+        return tok.value
     i = _expect_at(ts, ts.pos, "[")
     rows = []
     while True:

@@ -58,7 +58,8 @@ from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                      QmcError, UnknownLocation)
 from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM,
                      TOL_ORTHO, TOL_PROB, TOL_PROB_EXCESS, Subspace,
-                     hermitian_part, row_blocks, spectral_support)
+                     _gram_defect, hermitian_part, row_blocks,
+                     spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_matrix, parse_text)
 
@@ -349,7 +350,11 @@ class Configuration:
         if w[0] < -TOL_HERM_STATE:
             raise InvalidDensityMatrix(
                 "density matrix is not positive semidefinite")
-        keep = w > _SPECTRUM_FLOOR * w[-1]
+        # `eigh` leaves noise of up to about len(sub) ulps of the largest
+        # eigenvalue, far above _SPECTRUM_FLOOR: |+...+><+...+| on 9 qubits
+        # would keep 244 columns
+        floor = max(_SPECTRUM_FLOOR, len(sub) * np.finfo(float).eps)
+        keep = w > floor * w[-1]
         vecs = v[:, keep][:, ::-1]
         if len(idx) < d:
             scattered = np.zeros((d, vecs.shape[1]), dtype=complex)
@@ -413,13 +418,6 @@ class Configuration:
         return spectral_support(*self.spectrum, rtol)
 
 
-def _gram_defect(vecs: np.ndarray) -> float:
-    """The largest entry of |vecs^dagger vecs - I|: 0 for orthonormal
-    columns, NaN for a non-finite entry."""
-    gram = vecs.conj().T @ vecs
-    return float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
-
-
 def _apply_local(t: Transition, factor: np.ndarray) -> np.ndarray:
     """The stack [E_1 F, ..., E_K F] for the full-register Kraus operators
     E_k of `t.op`, computed from the local ones by contracting the target
@@ -441,7 +439,9 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
     """One transition step: every outgoing branch with probability above
     TOL_PROB, as (successor configuration, branch probability) pairs.  The
     branch probabilities sum to 1 and the successor configurations carry
-    `config.probability` times their branch probability.
+    `config.probability` times their branch probability.  A Kraus set
+    that TOL_NORM admits may raise the trace by more than rounding does,
+    so a product above 1 + TOL_PROB_EXCESS is carried as 1.
 
     With L = U sqrt(lambda) the configuration's factor, a branch's
     unnormalised state is S S^dagger for the stack S = [E_1 L, ..., E_K L];
@@ -468,19 +468,22 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
         p = float(np.vdot(stack, stack).real)
         if not p > TOL_PROB:
             continue
+        carried = config.probability * p
+        if carried > 1.0 + TOL_PROB_EXCESS:
+            carried = 1.0
         succ = None
         if t.local._unitary:
             mapped = stack / root
             defect = _gram_defect(mapped)
             if defect <= _UNITARY_DRIFT:
                 succ = Configuration._factored(t.post, mapped, vals / p,
-                                               config.probability * p, defect)
+                                               carried, defect)
         if succ is None:
             u, s, _ = np.linalg.svd(stack, full_matrices=False)
             lam = s * s / p
             keep = lam > _SPECTRUM_FLOOR * lam[0]
             succ = Configuration.from_factor(t.post, u[:, keep], lam[keep],
-                                             config.probability * p)
+                                             carried)
         results.append((succ, p))
     return results
 

@@ -11,8 +11,7 @@ from qmc import linalg as la
 from qmc import logic as lg
 from qmc import qts
 from qmc.errors import DimensionMismatch, InvalidDensityMatrix, ParseError
-from qmc.parsing import (EOF, IDENT, IMAG, NUMBER, PUNCT, STRING, Token,
-                         TokenStream)
+from qmc.parsing import EOF, IDENT, IMAG, NUMBER, PUNCT, STRING, Token
 
 
 def random_unit_vector(rng, d):
@@ -270,7 +269,7 @@ def reference_spectrum(state):
     if w[0] < -la.TOL_HERM_STATE:
         raise InvalidDensityMatrix(
             "density matrix is not positive semidefinite")
-    keep = w > qts._SPECTRUM_FLOOR * w[-1]
+    keep = w > max(qts._SPECTRUM_FLOOR, len(w) * np.finfo(float).eps) * w[-1]
     vecs = v[:, keep][:, ::-1]
     if len(idx) < d:
         scattered = np.zeros((d, vecs.shape[1]), dtype=complex)
@@ -475,18 +474,10 @@ _REF_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 _REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def tokenize(text, puncts):
-    """The whole token list of `text`, ending in EOF, as a stream over it
-    scans it."""
-    ts = TokenStream.scan(text, puncts)
-    ts.scan_all()
-    return ts.tokens
-
-
 def reference_tokenize(text, puncts):
-    """`tokenize` as a character loop: the lexer the one-pass
+    """`parsing.tokenize` as a character loop: the lexer the one-pass
     scanner replaced, kept as the reference its tokens and errors must
-    match (it lexes an out-of-range literal as `inf`)."""
+    match.  It lexes a matrix literal token by token."""
     puncts = sorted(puncts, key=len, reverse=True)
     tokens = []
     line, col = 1, 1
@@ -518,6 +509,8 @@ def reference_tokenize(text, puncts):
         if m:
             raw = m.group(0)
             end = m.end()
+            if float(raw) == float("inf"):
+                raise ParseError("number literal out of range", line, col)
             if end < n and text[end] == "i":
                 tokens.append(Token(IMAG, raw + "i", float(raw), line, col))
                 end += 1

@@ -112,6 +112,28 @@ class TestCheck:
         assert report["closure"] == "complete"
         assert report["nodes"] == 1200
 
+    def test_a_trace_raising_literal_gives_a_verdict(self, capsys,
+                                                      tmp_path):
+        # the Kraus sum is 1.0000000008 I, within what TOL_NORM admits;
+        # each branch probability is 1.0000000008, carried as 1
+        model = tmp_path / "raise.qts"
+        model.write_text("qubits 1\nlocations l0\ninitial l0\ntransitions\n"
+                         "  l0 -> l0 : kraus { [[0, 1.0000000004], "
+                         "[1.0000000004, 0]] }[1]\n")
+        spec = tmp_path / "flip.ctql"
+        spec.write_text('let one = span { "|1>" }\n'
+                        'assert "flips" : E F [one]\n'
+                        'assert "stays" : A G [~one]\n')
+        code, out, err = run_cli(
+            capsys, "check", "--model", str(model), "--assert", str(spec),
+            "--init", "|0>")
+        assert code == cli.EXIT_FAILS, err
+        assert out.count("holds") == 1 and out.count("fails") == 1
+        code, out, err = run_cli(capsys, "simulate", "--model", str(model),
+                                 "--depth", "2", "--format", "json")
+        assert code == cli.EXIT_HOLDS, err
+        assert '"probability": 1.0,' in out
+
     def test_unbound_atom_is_an_error(self, capsys, tmp_path):
         bad = tmp_path / "unbound.ctql"
         bad.write_text('assert "oops" : [ghost]\n')

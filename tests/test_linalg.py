@@ -331,6 +331,15 @@ class TestSchmidt:
             assert np.abs(rebuilt - phi).max() < TOL_RECON
 
 
+@pytest.mark.parametrize("basis", [
+    [[np.nan], [0.0]], [[np.inf], [0.0]], [[np.inf, 0.0], [0.0, 1.0]],
+    [[1e200], [0.0]]], ids=["nan", "inf", "inf-2", "overflow"])
+def test_subspace_rejects_a_non_finite_gram(basis):
+    # the Gram defect is NaN or inf, which `>` let through
+    with pytest.raises(DimensionMismatch):
+        la.Subspace(np.array(basis))
+
+
 def test_subspace_rejects_non_orthonormal():
     with pytest.raises(DimensionMismatch):
         la.Subspace(np.array([[1.0], [1.0]]))

@@ -2,20 +2,19 @@
 character-loop lexer and cursor parsers they replaced (`tests/helpers.py`):
 the same tokens, values, positions and errors on every text."""
 
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmc import kets, logic, parsing, qts
 from qmc.errors import ParseError
-from qmc.parsing import NUMBER, Token, TokenStream
+from qmc.parsing import MATRIX, NUMBER, Token, TokenStream, tokenize
 
 from helpers import (reference_parse_complex, reference_parse_matrix,
-                     reference_tokenize, token_key, tokenize)
+                     reference_tokenize, token_key)
 
 INIT_PUNCTS = ["[", "]", ",", "+", "-"]
 ALPHABETS = {"qts": qts._PUNCTS, "ctql": logic._PUNCTS, "init": INIT_PUNCTS}
@@ -28,11 +27,6 @@ FRAGMENTS = [
     "x", "_a1", "let", "[", "]", ",", ";", ":", "=", "(", ")", "{", "}",
     "&&", "&", "|", "~", "!", ".", "<", "\x0b", "é", "٣",
 ]
-
-# a literal that overflows a float lexes as inf in the reference and is
-# refused by the scanner; those are covered by their own tests
-_OVERFLOW = re.compile(r"[eE]\+?\d{3}|\d{300}")
-
 
 def outcome(lex, text, puncts):
     try:
@@ -50,7 +44,6 @@ class TestScanner:
     @settings(max_examples=400)
     @given(texts)
     def test_matches_the_character_loop(self, text):
-        assume(not _OVERFLOW.search(text))
         for puncts in ALPHABETS.values():
             assert outcome(tokenize, text, puncts) == \
                 outcome(reference_tokenize, text, puncts), repr(text)
@@ -142,8 +135,8 @@ def parse_outcome(parse, text):
 
 
 def matrix_outcome(text):
-    """`parsing.parse_matrix` on a stream scanning `text`: its entries, as
-    the repr of nested lists of Python complex, and the token after it."""
+    """`parsing.parse_matrix` on the tokens of `text`: its entries, as the
+    repr of nested lists of Python complex, and the token after it."""
     def parse(ts):
         mat = parsing.parse_matrix(ts)
         assert mat.dtype == complex and mat.ndim == 2
@@ -155,9 +148,10 @@ def matrix_outcome(text):
 
 
 def reference_matrix_outcome(text):
-    """The cursor parser on the whole token list, in the same form."""
+    """The cursor parser on the character loop's tokens, in the same
+    form."""
     try:
-        ts = TokenStream(tokenize(text, PUNCTS))
+        ts = TokenStream(reference_tokenize(text, PUNCTS))
         rows = reference_parse_matrix(ts)
     except ParseError as exc:
         return ("error", str(exc))
@@ -215,8 +209,7 @@ class TestLiteralParsers:
         text = literal_text(rows, [""] + seps)
         at = 1 + at % len(text)
         text = text[:at] + junk + text[at:]
-        end = parsing._literal_end(text, 0)
-        lit = text[:end] if end else text
+        lit = text[:parsing._literal_end(text, 0)]
         read = parsing._literal_array(lit)
         ref = reference_matrix_outcome(lit)
         if read is None:
@@ -281,19 +274,18 @@ class TestMatrixReader:
 
     def test_fixture_is_a_density_matrix_and_a_kraus_projector(self):
         ref = np.array(reference_parse_matrix(TokenStream(
-            tokenize(RHO, PUNCTS))), dtype=complex)
+            reference_tokenize(RHO, PUNCTS))), dtype=complex)
         psi = np.array([1, 1j, -1, -1j] * 2) / np.sqrt(8)
         assert np.allclose(ref, np.outer(psi, psi.conj()))
         assert RHO.count("\n") == 15 and RHO.count(",") >= 63
         assert len(qts.parse_model(MODEL).transitions) == 1
 
-    def test_a_literal_makes_no_tokens(self):
-        ts = TokenStream.scan(RHO + "\n ;", PUNCTS)
-        mat = parsing.parse_matrix(ts)
-        assert mat.shape == (8, 8)
-        assert ts.tokens == []
-        assert (ts.peek().text, ts.peek().line, ts.peek().column) == \
-            (";", 17, 2)
+    def test_a_literal_makes_one_token(self):
+        toks = tokenize(RHO + "\n ;", PUNCTS)
+        assert [t.kind for t in toks] == [MATRIX, "PUNCT", "EOF"]
+        assert toks[0].value.shape == (8, 8)
+        assert (toks[0].line, toks[0].column) == (1, 1)
+        assert (toks[1].text, toks[1].line, toks[1].column) == (";", 17, 2)
 
     @pytest.mark.parametrize("parse, text, puncts", [
         (qts.parse_model, MODEL.replace(" ;\n", " oops\n"), qts._PUNCTS),
@@ -346,12 +338,13 @@ class TestMatrixReader:
         cli._load_init(cli.RunConfig(model="m", init=str(path)), system)
         model_mat, _, ctql_mat, init_mat = read
         ref = np.array(reference_parse_matrix(TokenStream(
-            tokenize(RHO, PUNCTS))), dtype=complex)
+            reference_tokenize(RHO, PUNCTS))), dtype=complex)
         for mat in (model_mat, ctql_mat, init_mat):
             assert mat.tobytes() == ref.tobytes()
         assert system.transitions[0].local.kraus[0].tobytes() == ref.tobytes()
 
-    def test_a_density_file_costs_no_token_per_entry(self, tmp_path):
+    def test_a_density_file_costs_no_token_per_entry(self, tmp_path,
+                                                     monkeypatch):
         # |0...0><0...0| on 8 qubits, 65536 entries on one line.  Read token
         # by token, as `cli._load_init` read it before the literal reader,
         # its `tracemalloc` peak was 21.8 MiB; read from the text, about
@@ -375,15 +368,117 @@ class TestMatrixReader:
             finally:
                 tracemalloc.stop()
         read = peak(lambda: cli._load_init(cfg, system))
+        # no literal is large enough for the reader: the scanner's tokens
+        monkeypatch.setattr(parsing, "_MIN_READ_COMMAS", float("inf"))
         by_token = peak(lambda: np.array(reference_parse_matrix(
             TokenStream(tokenize(text, INIT_PUNCTS))), dtype=complex))
         assert read < by_token / 4
 
     def test_a_small_literal_leaves_the_next_one_to_the_reader(self):
-        # the token parse of a small literal scans no further than it reads
-        ts = TokenStream.scan("[[1, 0], [0, -i]] ;\n" + RHO, PUNCTS)
+        # a literal the token path parses leaves the next large one to be
+        # read as one token
+        toks = tokenize("[[1, 0], [0, -i]] ;\n" + RHO, PUNCTS)
+        assert [t.kind for t in toks[-3:]] == ["PUNCT", MATRIX, "EOF"]
+        assert len(toks) == 17
+        ts = TokenStream(toks)
         assert parsing.parse_matrix(ts).tolist() == [[1, 0], [0, -1j]]
         ts.expect_punct(";")
-        after = len(ts.tokens)
         assert parsing.parse_matrix(ts).shape == (8, 8)
-        assert ts.tokens[after:] == [] and ts.peek().kind == "EOF"
+        assert ts.peek().kind == "EOF"
+
+
+# entries whose sign or imaginary part sits on another line or past a
+# comment, and the text around the literals of an embedding text: no `[`,
+# which would open a larger literal around the next one
+SPLIT = ["-\n1", "- # x, ]]\n2i", "1\n-\ni", "+\r\n0.5", "0.25 # c\n+ 1i"]
+AROUND = ["", " ", "\n", "  # [[0, 1]], x\n", "kraus {", " ; ", "}[1, 2]",
+          "let m = matrix ", "x", "-0.5", "]", ",", "[[1]]", "\n[[0, 1, 2]]"]
+
+
+literals = st.tuples(
+    st.integers(5, 6).flatmap(lambda n: st.lists(st.lists(
+        st.sampled_from(SPACED + ENTRIES[:20] + SPLIT), min_size=n,
+        max_size=n), min_size=n, max_size=n)),
+    st.lists(st.sampled_from(SEPARATORS), min_size=1, max_size=6),
+).map(lambda args: ("literal", literal_text(*args)))
+
+
+class TestEagerLexer:
+    """`tokenize` on texts that embed literals of 25 or more entries:
+    the character loop's tokens, except that each literal the cursor
+    parser reads is one MATRIX token holding what that parser reads."""
+
+    @settings(max_examples=150)
+    @given(st.lists(st.one_of(st.sampled_from(AROUND).map(lambda t: ("", t)),
+                              literals), min_size=1, max_size=6),
+           st.sampled_from(sorted(ALPHABETS)))
+    def test_a_large_literal_is_one_token(self, pieces, alphabet):
+        text = "".join(t for _, t in pieces)
+        puncts = ALPHABETS[alphabet]
+        try:
+            ref = reference_tokenize(text, puncts)
+        except ParseError as exc:
+            assert outcome(tokenize, text, puncts) == ("error", str(exc))
+            return
+        toks = tokenize(text, puncts)
+        j = 0
+        for tok in toks:
+            if tok.kind != MATRIX:
+                # every later token keeps its line and column
+                assert token_key(tok) == token_key(ref[j]), text
+                j += 1
+                continue
+            assert (tok.line, tok.column) == (ref[j].line, ref[j].column)
+            ts = TokenStream(ref)
+            ts.pos = j
+            rows = reference_parse_matrix(ts)
+            assert repr(tok.value.tolist()) == \
+                repr(np.array(rows, dtype=complex).tolist()), text
+            j = ts.pos
+        assert j == len(ref)
+        read = [t for kind, t in pieces if kind == "literal"
+                and reference_matrix_outcome(t)[0] != "error"]
+        assert sum(t.kind == MATRIX for t in toks) == len(read), text
+
+    def test_a_refused_literal_hides_no_literal_inside_it(self):
+        # `[` + a literal spans one literal too deep, which is refused and
+        # lexed token by token, inner literal included
+        text = "[" + RHO + "]"
+        assert tokenize(text, PUNCTS) == reference_tokenize(text, PUNCTS)
+
+    @pytest.mark.parametrize("text", ["[[1, " * 2000, "[" * 4000 + "]]"],
+                             ids=["unclosed", "nested"])
+    def test_each_bracket_run_is_searched_once(self, text, monkeypatch):
+        # each `[` of the run opens a literal that is refused or has no
+        # end; one search covers them all, where one per `[` would read
+        # the text once per `[`
+        starts = []
+
+        def literal_end(text, start):
+            starts.append(start)
+            return end(text, start)
+        end = parsing._literal_end
+        monkeypatch.setattr(parsing, "_literal_end", literal_end)
+        assert tokenize(text, PUNCTS) == reference_tokenize(text, PUNCTS)
+        assert starts == [0]
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (qts.parse_model, "qubits 1\nlocations l0\ninitial l0\ntransitions\n"
+         "  l0 -> l0 : gate H%s\n",
+         "5:20: expected '[', got 'matrix literal'"),
+        (logic.parse_assertions, 'let m = matrix [[1]]\nassert "x" : %s\n',
+         "2:14: expected a state formula, got 'matrix literal'"),
+    ], ids=["qts", "ctql"])
+    def test_a_large_literal_where_no_matrix_goes(self, parse, text,
+                                                  message):
+        # a 5 x 5 literal is one token wherever it stands, so an error at
+        # it names the literal, at its first `[`; a 2 x 2 one is tokens
+        five = "[" + ", ".join("[" + ", ".join(
+            "1" if r == c else "0" for c in range(5)) + "]"
+            for r in range(5)) + "]"
+        with pytest.raises(ParseError) as info:
+            parse(text % five)
+        assert str(info.value) == message
+        with pytest.raises(ParseError) as info:
+            parse(text % "[[1, 0], [0, 1]]")
+        assert "got '['" in str(info.value)

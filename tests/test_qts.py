@@ -1043,6 +1043,17 @@ class TestConfiguration:
         with pytest.raises(DimensionMismatch, match="not Hermitian"):
             qts.Configuration("l0", rho)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_a_dense_pure_root_has_rank_one(self, n):
+        # every entry of |+...+><+...+| is live, so it takes the dense
+        # `eigh`, whose noise eigenvalues once made a factor of rank 3, 15,
+        # 62 and 244
+        plus = np.ones(2 ** n, dtype=complex) / np.sqrt(2 ** n)
+        vecs, vals = qts.Configuration("l0", np.outer(plus, plus)).spectrum
+        assert vecs.shape == (2 ** n, 1)
+        assert abs(vals[0] - 1.0) < 1e-12
+        assert abs(abs(np.vdot(vecs[:, 0], plus)) - 1.0) < 1e-12
+
     def test_hermiticity_check_reads_every_row_block(self):
         # d = 512 is four blocks of rows; the defect sits in the third
         d = 512

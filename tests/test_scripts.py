@@ -127,3 +127,21 @@ def test_every_public_name_is_reached():
                  if (name[2] not in refs.attrs if name[1]
                      else (name[0], name[2]) not in refs.qualified)]
     assert unreached == []
+
+
+def test_no_unused_module_level_import():
+    """Each name a module of src/qmc imports at module level is read in
+    that module."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0]
+                           not in read]
+    assert unused == []
