@@ -23,6 +23,13 @@ wire 1 is block-diag(I, X)); `embed` works in register terms, and the
 circuit builders in `qts` reverse the wire list when placing a textbook
 constant on register qubits.
 
+A Kraus set whose operators have at most one nonzero entry in each row
+(Pauli, permutation, diagonal and phase gates, computational projectors)
+is applied by structure: `SuperOperator._gather` finds it on the first
+`apply` or `kraus_images` call, and those then gather rows and columns
+and scale them in O(K d^2) instead of multiplying d x d matrices in
+O(K d^3).  For real scales the result equals the dense sum bit for bit.
+
 `embed` is not on the checking path.  A `qts` transition keeps its channel
 on its target qubits and `qts.step` contracts only those axes; the dense
 2^n x 2^n lift is built on demand, for `reach` and the tests.
@@ -119,6 +126,30 @@ class SuperOperator:
         stacked = stacked.transpose(list(range(n + 1)) + cols)
         return _frozen(stacked.reshape(-1, self.dim))
 
+    @cached_property
+    def _gather(self):
+        """The gather-and-scale form of a Kraus set whose operators have
+        at most one nonzero entry in each row (Pauli and permutation
+        gates, diagonal and phase gates, computational projectors): per
+        operator E, the column src[i] of row i's entry (i for a zero row)
+        and its value scale[i], so that (E A)[i] = scale[i] A[src[i]] and
+        E A E^dagger = scale[i] A[src[i], src[j]] conj(scale[j]).  Each
+        operator keeps `src` (None when it is the identity, so E is
+        diagonal), the scales as a d x 1 column, and their conjugates:
+        O(d) memory.  None for any other set.  Found on the first `apply`
+        or `kraus_images`, never when the channel is made."""
+        rows = np.arange(self.dim)
+        out = []
+        for k in self.kraus:
+            nonzero = k != 0
+            if np.count_nonzero(nonzero, axis=1).max() > 1:
+                return None
+            src = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows)
+            scale = k[rows, src]
+            out.append((None if (src == rows).all() else src,
+                        scale[:, None], scale.conj()))
+        return tuple(out)
+
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
@@ -144,15 +175,49 @@ class SuperOperator:
 
 
 def apply(e: SuperOperator, rho: np.ndarray) -> np.ndarray:
-    """Channel application sum_i E_i rho E_i^dagger."""
+    """Channel application sum_i E_i rho E_i^dagger, summed in Kraus order.
+
+    A set with one nonzero entry per row (`SuperOperator._gather`) is
+    applied by gathering rho's rows and columns and scaling them, first
+    by the row scale and then by the conjugate column scale, in
+    O(K d^2) instead of the O(K d^3) of two matrix products.  Those are
+    the products the dense sum makes, so for real scales the result
+    equals it exactly; a complex scale may differ in the last bits."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (e.dim, e.dim):
         raise DimensionMismatch(
             f"state shape {rho.shape} vs channel dim {e.dim}")
     out = np.zeros_like(rho)
-    for k in e.kraus:
-        out += k @ rho @ k.conj().T
+    gather = e._gather
+    if gather is None:
+        for k in e.kraus:
+            out += k @ rho @ k.conj().T
+        return out
+    for src, scale, conj in gather:
+        if src is None:
+            term = rho * scale
+        else:
+            term = rho.take(src, axis=0).take(src, axis=1)
+            term *= scale
+        term *= conj
+        out += term
     return out
+
+
+def kraus_images(e: SuperOperator, vecs: np.ndarray) -> np.ndarray:
+    """The d x Km stack [E_1 V, ..., E_K V] of the Kraus images of the
+    d x m columns V, gathered and scaled row by row for a set with one
+    nonzero entry per row."""
+    vecs = np.asarray(vecs, dtype=complex)
+    if vecs.ndim != 2 or vecs.shape[0] != e.dim:
+        raise DimensionMismatch(
+            f"columns of shape {vecs.shape} vs channel dim {e.dim}")
+    gather = e._gather
+    if gather is None:
+        return np.hstack([k @ vecs for k in e.kraus])
+    return np.hstack([
+        (vecs if src is None else vecs.take(src, axis=0)) * scale
+        for src, scale, _ in gather])
 
 
 def matrix_rep(e: SuperOperator) -> np.ndarray:
@@ -222,9 +287,21 @@ def expand_operator(op: np.ndarray, targets, total: int) -> np.ndarray:
 
 def embed(e: SuperOperator, targets, total: int) -> SuperOperator:
     """Channel acting as `e` on the listed register qubits and as the
-    identity elsewhere, as dense 2^total x 2^total Kraus operators."""
-    kraus = tuple(expand_operator(k, targets, total) for k in e.kraus)
-    return SuperOperator(total, kraus, e.trace_class)
+    identity elsewhere, as dense 2^total x 2^total Kraus operators.
+
+    The lifted set I (x) E_i has the normalisation defect
+    I (x) (I - sum E_i^dagger E_i) of the checked set `e`: the same
+    largest entry and the same eigenvalues.  So it keeps `e`'s trace
+    class and unitarity and is not checked again, which would cost
+    O(K 8^total)."""
+    out = object.__new__(SuperOperator)
+    for name, value in (
+            ("n_qubits", total),
+            ("kraus", tuple(_frozen(expand_operator(k, targets, total))
+                            for k in e.kraus)),
+            ("trace_class", e.trace_class), ("_unitary", e._unitary)):
+        object.__setattr__(out, name, value)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

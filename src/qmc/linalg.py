@@ -216,8 +216,9 @@ def spectral_support(vecs: np.ndarray, vals: np.ndarray,
     support.
 
     The columns are held as they are, with no second Gram check: they
-    come from `eigh` or from a configuration's factor, which was checked
-    when it was made.  When they are one block, as they are for values in
+    come from `eigh`, from an SVD's left singular vectors (with the
+    squared singular values as `vals`) or from a configuration's factor,
+    which was checked when it was made.  When they are one block, as they are for values in
     either order, the basis is a read-only view of `vecs`, not a copy."""
     top = vals.max(initial=0.0)
     if top <= 0.0:
@@ -352,11 +353,6 @@ def _column_norms(m: np.ndarray) -> np.ndarray:
     from its real and imaginary parts, so no array of its size is built."""
     return np.sqrt(np.einsum("ij,ij->j", m.real, m.real)
                    + np.einsum("ij,ij->j", m.imag, m.imag))
-
-
-def projector(x: Subspace) -> np.ndarray:
-    """Hermitian idempotent P = B B^dagger projecting onto `x`."""
-    return x.basis @ x.basis.conj().T
 
 
 def schmidt(phi: np.ndarray, d: int, rtol: float = TOL_EIG):

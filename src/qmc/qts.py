@@ -441,7 +441,8 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
     branch probabilities sum to 1 and the successor configurations carry
     `config.probability` times their branch probability.  A Kraus set
     that TOL_NORM admits may raise the trace by more than rounding does,
-    so a product above 1 + TOL_PROB_EXCESS is carried as 1.
+    so a branch probability, or a product, above 1 + TOL_PROB_EXCESS is
+    returned, or carried, as 1.
 
     With L = U sqrt(lambda) the configuration's factor, a branch's
     unnormalised state is S S^dagger for the stack S = [E_1 L, ..., E_K L];
@@ -484,7 +485,7 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
             keep = lam > _SPECTRUM_FLOOR * lam[0]
             succ = Configuration.from_factor(t.post, u[:, keep], lam[keep],
                                              carried)
-        results.append((succ, p))
+        results.append((succ, 1.0 if p > 1.0 + TOL_PROB_EXCESS else p))
     return results
 
 

@@ -9,9 +9,19 @@ under iterated channel application:
   leg by leg (E_k on the row leg, conj(E_k) on the column leg) without
   forming that 4^n x 4^n matrix, and read the answer off a Schmidt
   decomposition,
-* a fixed-point iteration joining images until the dimension stabilises.
+* a fixed-point iteration joining in frontier images: the image of only
+  the directions the previous round added, until a round adds none.
 
 They must agree as subspaces; the test suite cross-checks all three.
+
+`image` needs no d x d matrix: the image of a subspace with basis B is
+read off the left singular vectors of the Kraus stack [E_1 B, ..., E_K B]
+(`channel.kraus_images`), cut where the squared singular value falls to
+`rtol` of the largest.  The fixpoint route takes that cut on each
+frontier's image, so relative to the frontier image's largest weight
+rather than the whole image's.  The closed form and the vectorized route
+step with `channel.apply`, which gathers and scales a Kraus set with one
+nonzero entry per row instead of multiplying matrices.
 """
 
 from __future__ import annotations
@@ -45,14 +55,20 @@ class QuantumMarkovChain:
 def image(e: ch.SuperOperator, x: la.Subspace,
           rtol: float = la.TOL_EIG) -> la.Subspace:
     """Image of a subspace under a channel: the join over its pure states
-    of the supports of their outputs, computed as the support of the
-    channel applied to the subspace projector, cut at `rtol`."""
+    of the supports of their outputs.  With B the basis of `x`, the
+    channel maps the projector B B^dagger to S S^dagger for the stack
+    S = [E_1 B, ..., E_K B], so the image is the span of S's left
+    singular vectors whose squared singular value exceeds `rtol` times
+    the largest: the support `la.support` would find, with no d x d
+    matrix."""
     if x.ambient_dim != e.dim:
         raise DimensionMismatch(
             f"subspace ambient {x.ambient_dim} vs channel dim {e.dim}")
     if x.dim == 0:
         return x
-    return la.support(ch.apply(e, la.projector(x)), rtol)
+    u, s, _ = np.linalg.svd(ch.kraus_images(e, x.basis),
+                            full_matrices=False)
+    return la.spectral_support(u, s * s, rtol)
 
 
 def _check_state(c: QuantumMarkovChain, rho: np.ndarray) -> np.ndarray:
@@ -73,10 +89,10 @@ def reachable_subspace(c: QuantumMarkovChain, rho: np.ndarray,
     cur = acc
     for _ in range(c.dim - 1):
         cur = ch.apply(c.channel, cur)
-        acc = acc + cur
+        acc += cur
         tr = float(np.trace(acc).real)
-        acc = acc / tr
-        cur = cur / tr
+        acc /= tr
+        cur /= tr
     return la.support(acc, rtol)
 
 
@@ -108,13 +124,31 @@ def reachable_subspace_vectorized(c: QuantumMarkovChain, rho: np.ndarray,
 
 def reachable_fixpoint_oracle(c: QuantumMarkovChain, rho: np.ndarray,
                               rtol: float = la.TOL_EIG) -> la.Subspace:
-    """Fixed-point route: start from supp(rho) and join in the channel
-    image until the dimension stops growing (at most d rounds)."""
+    """Fixed-point route: start from supp(rho) and join in images until a
+    round adds nothing (at most d rounds).  Each round takes the image of
+    only the directions the previous one added, its frontier: with X_i
+    the held space and N_i the directions added to it,
+    image(X_i) = image(X_{i-1}) + image(N_i) and image(X_{i-1}) lies in
+    X_i, so X_i + image(N_i) is the join X_i + image(X_i).  The frontier's
+    image is projected off the held basis twice (classical Gram-Schmidt
+    with one reorthogonalization), and a residual direction joins it when
+    its singular value exceeds `la.TOL_EIG`, the rank cut `la.join`
+    makes.
+
+    The one difference from joining whole images is that the `rtol` cut
+    of `image` is taken relative to the frontier image's largest weight,
+    not the whole image's."""
     rho = _check_state(c, rho)
-    x = la.support(rho, rtol)
-    for _ in range(c.dim):
-        grown = la.join([x, image(c.channel, x, rtol)])
-        if grown.dim == x.dim:
-            return x
-        x = grown
-    return x
+    new = la.support(rho, rtol)
+    held = new.basis
+    while new.dim and held.shape[1] < c.dim:
+        img = image(c.channel, new, rtol).basis
+        resid = img - held @ (held.conj().T @ img)
+        resid -= held @ (held.conj().T @ resid)
+        u, s, _ = np.linalg.svd(resid, full_matrices=False)
+        cols = u[:, s > la.TOL_EIG]
+        cols.setflags(write=False)
+        # singular vectors, orthonormal; the whole basis is checked below
+        new = la.Subspace._held(cols)
+        held = np.hstack([held, cols])
+    return la.Subspace(held)

@@ -1,6 +1,7 @@
 """Shared random generators and small numeric oracles for the test suite."""
 
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -35,6 +36,12 @@ def random_subspace(rng, d, k):
         return la.Subspace.zero(d)
     g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
     return la.Subspace(la.orth_columns(g))
+
+
+def projector(x):
+    """Hermitian idempotent P = B B^dagger projecting onto the subspace
+    `x`, built as a dense d x d matrix."""
+    return x.basis @ x.basis.conj().T
 
 
 def random_channel(rng, n_qubits, n_kraus=3):
@@ -113,6 +120,19 @@ def loop_qts(e):
     n = e.n_qubits
     loop = qts.kraus_edge("l0", "l0", e.kraus, tuple(range(1, n + 1)), n)
     return qts.QuantumTransitionSystem(n, ("l0",), "l0", (loop,))
+
+
+def dephasing_loop_qts(n):
+    """The one-location loop of a bit flip on qubit 1 and a ZZ dephasing on
+    each neighbouring pair (q, q + 1), every edge weighted 1/n: from
+    |0...0> it reaches span{|0...0>, |0...01>}, dimension 2."""
+    a = math.sqrt(0.5 / n)
+    edges = [qts.kraus_edge("l0", "l0", (a * np.eye(2), a * ch.PAULI_X),
+                            (1,), n)]
+    zz = np.kron(ch.PAULI_Z, ch.PAULI_Z)
+    edges += [qts.kraus_edge("l0", "l0", (a * np.eye(4), a * zz),
+                             (q, q + 1), n) for q in range(1, n)]
+    return qts.QuantumTransitionSystem(n, ("l0",), "l0", tuple(edges))
 
 
 def trace_distance(a, b):

@@ -7,7 +7,8 @@ from qmc.errors import (BadParameter, DimensionMismatch,
                         NormalisationViolation, RepeatedQubit,
                         TargetOutOfRange, UnknownGate)
 
-from helpers import random_channel, random_density, random_unit_vector
+from helpers import (permutation_mixture_channel, random_channel,
+                     random_density, random_unit_vector)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -145,6 +146,127 @@ class TestComposeParallel:
             pytest.fail("permutation never mattered across 20 samples")
 
 
+def dense_apply(e, rho):
+    """sum_i E_i rho E_i^dagger by two matrix products per Kraus operator,
+    summed in Kraus order."""
+    out = np.zeros_like(rho)
+    for k in e.kraus:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def depolarizing(p):
+    paulis = (ch.PAULI_I, ch.PAULI_X, ch.PAULI_Y, ch.PAULI_Z)
+    weights = (1 - 3 * p / 4, p / 4, p / 4, p / 4)
+    return ch.SuperOperator.from_kraus(
+        [np.sqrt(w) * m for w, m in zip(weights, paulis)])
+
+
+def phased_permutation_channel(rng, n_qubits):
+    """Two Kraus operators sqrt(p) D P: basis permutations P with a random
+    unit phase on each row."""
+    d = 2 ** n_qubits
+    p = float(rng.uniform(0.3, 0.7))
+    return ch.SuperOperator.from_kraus(
+        [np.sqrt(q) * np.exp(2j * np.pi * rng.random(d))[:, None]
+         * np.eye(d)[rng.permutation(d)] for q in (p, 1 - p)])
+
+
+# Kraus sets with at most one nonzero entry in each row, and whether every
+# such entry is real
+GATHERED = {
+    "bit_flip": (lambda rng: ch.noise_library("bit_flip", 0.3), True),
+    "phase_flip": (lambda rng: ch.noise_library("phase_flip", 0.6), True),
+    "depolarizing": (lambda rng: depolarizing(0.4), False),
+    "Y": (lambda rng: ch.SuperOperator.unitary(ch.PAULI_Y), False),
+    "X_embedded": (lambda rng: ch.gate_on_qubits("X", [2], 3), True),
+    "CX_embedded": (lambda rng: ch.gate_on_qubits("CX", [3, 1], 3), True),
+    "SWAP_embedded": (lambda rng: ch.gate_on_qubits("SWAP", [1, 3], 3),
+                      True),
+    "S": (lambda rng: ch.gate_on_qubits("S", [1], 2), False),
+    "T": (lambda rng: ch.gate_on_qubits("T", [2], 2), False),
+    "CZ": (lambda rng: ch.gate_on_qubits("CZ", [1, 2], 2), True),
+    "projector": (lambda rng: ch.computational_measurement(2)
+                  .branch_channel(2), True),
+    "projector_embedded": (lambda rng: ch.embed(
+        ch.computational_measurement(1).branch_channel(1), [2], 3), True),
+    "scaled_permutations": (
+        lambda rng: permutation_mixture_channel(rng, 4), True),
+    "phased_permutations": (
+        lambda rng: phased_permutation_channel(rng, 3), False),
+}
+
+
+class TestGatherRoute:
+    """A Kraus set with one nonzero entry per row is applied by gathering
+    rows and columns and scaling them; the dense sum is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(GATHERED))
+    def test_matches_the_dense_sum(self, name, rng):
+        make, real = GATHERED[name]
+        e = make(rng)
+        assert e._gather is not None
+        d = e.dim
+        for rank in (1, d):
+            rho = random_density(rng, d, rank=rank)
+            # a matrix with no symmetry, as `apply` takes any d x d matrix
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            for a in (rho, noise):
+                got, want = ch.apply(e, a), dense_apply(e, a)
+                if real:
+                    assert np.array_equal(got, want)
+                else:
+                    ulp = np.spacing(np.abs(want).max())
+                    assert np.abs(got - want).max() <= 4 * ulp
+                stack = ch.kraus_images(e, a[:, :2])
+                dense = np.hstack([k @ a[:, :2] for k in e.kraus])
+                if real:
+                    assert np.array_equal(stack, dense)
+                else:
+                    ulp = np.spacing(np.abs(dense).max())
+                    assert np.abs(stack - dense).max() <= 4 * ulp
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: ch.SuperOperator.unitary(ch.HADAMARD),
+        lambda rng: ch.gate_on_qubits("RX", [1], 2, 0.3),
+        lambda rng: random_channel(rng, 2, n_kraus=2),
+        # one operator of the set has two entries in a row
+        lambda rng: ch.SuperOperator.from_kraus(
+            [np.sqrt(0.5) * ch.PAULI_X, np.sqrt(0.5) * ch.HADAMARD]),
+    ])
+    def test_other_sets_take_the_dense_route(self, make, rng):
+        e = make(rng)
+        assert e._gather is None
+        rho = random_density(rng, e.dim)
+        assert np.array_equal(ch.apply(e, rho), dense_apply(e, rho))
+        cols = rho[:, :1]
+        assert np.array_equal(ch.kraus_images(e, cols),
+                              np.hstack([k @ cols for k in e.kraus]))
+
+    def test_gather_form_is_found_on_first_use(self):
+        # parsing builds and checks channels but never looks for the form
+        text = ("qubits 2\nlocations l0\ninitial l0\ntransitions\n"
+                "  l0 -> l0 : gate CX[1, 2]\n")
+        (t,) = qts.parse_model(text).transitions
+        assert "_gather" not in vars(t.local)
+        ch.apply(t.local, np.eye(4, dtype=complex) / 4)
+        assert "_gather" in vars(t.local)
+
+    def test_keeps_o_of_d_per_operator(self):
+        e = ch.gate_on_qubits("SWAP", [1, 2], 6)
+        for src, scale, conj in e._gather:
+            assert src.shape == (64,)
+            assert scale.shape == (64, 1) and conj.shape == (64,)
+        # a diagonal operator keeps no index vector
+        (diag,) = ch.gate_on_qubits("CZ", [1, 2], 6)._gather
+        assert diag[0] is None
+
+    def test_kraus_images_checks_its_columns(self):
+        e = ch.noise_library("bit_flip", 0.5)
+        with pytest.raises(DimensionMismatch):
+            ch.kraus_images(e, np.ones((4, 1)))
+
+
 class TestEmbed:
     def test_single_qubit_identity_width(self):
         e = ch.embed(ch.SuperOperator.unitary(ch.gate_matrix("H")), [1], 1)
@@ -178,6 +300,21 @@ class TestEmbed:
             assert len(t.op.kraus) == len(lifted) == 1
             assert np.array_equal(t.op.kraus[0], lifted[0])
             assert np.abs(t.op.kraus[0] - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_channel(rng, 2, n_kraus=3),
+        lambda rng: ch.SuperOperator.unitary(ch.gate_matrix("CX")),
+        lambda rng: ch.computational_measurement(2).branch_channel(1),
+    ])
+    def test_lift_keeps_the_check_of_its_set(self, make, rng):
+        # the lifted set has the defect of `e` tensored with the identity,
+        # so checking it again gives the same trace class and unitarity
+        e = make(rng)
+        lifted = ch.embed(e, [3, 1], 3)
+        checked = ch.SuperOperator(3, lifted.kraus, e.trace_class)
+        assert lifted.trace_class is checked.trace_class is e.trace_class
+        assert lifted._unitary == checked._unitary == e._unitary
+        assert all(not k.flags.writeable for k in lifted.kraus)
 
     def test_target_order_matters(self):
         a = ch.embed(ch.SuperOperator.unitary(ch.gate_matrix("CX")), [1, 2], 3)

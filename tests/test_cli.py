@@ -15,6 +15,7 @@ from qmc import cli, kets, qts
 from qmc import linalg as la
 from qmc.parsing import MAX_DEPTH, parse_text
 
+from helpers import dephasing_loop_qts
 from test_logic import DEEP_SHAPES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -133,6 +134,14 @@ class TestCheck:
                                  "--depth", "2", "--format", "json")
         assert code == cli.EXIT_HOLDS, err
         assert '"probability": 1.0,' in out
+        # the witness's edge probability is capped like the carried one
+        code, out, err = run_cli(
+            capsys, "check", "--model", str(model), "--assert", str(spec),
+            "--init", "|0>", "--format", "json")
+        assert code == cli.EXIT_FAILS, err
+        flips = json.loads(out)["reports"][0]
+        assert flips["verdict"] == "holds"
+        assert [s["probability"] for s in flips["trace"]] == [1.0, 1.0]
 
     def test_unbound_atom_is_an_error(self, capsys, tmp_path):
         bad = tmp_path / "unbound.ctql"
@@ -325,6 +334,23 @@ class TestReach:
         assert report["verify"]["agree"] is True
         assert report["verify"]["dims"] == {"power_sum": 5, "vectorized": 5,
                                             "fixpoint": 5}
+
+    def test_dephasing_loop_at_seven_qubits(self, capsys, tmp_path):
+        # a bit flip and six ZZ dephasings, every Kraus operator with one
+        # nonzero entry per row: all three routes gather and scale
+        n = 7
+        model = tmp_path / "dephasing7.qts"
+        model.write_text(qts.serialize_model(dephasing_loop_qts(n)))
+        code, out, err = run_cli(
+            capsys, "reach", "--model", str(model), "--init", f"|{'0' * n}>",
+            "--verify")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "reachable dim 2"
+        assert sorted(lines[1:3]) == [f"  |{'0' * n}>",
+                                      f"  |1{'0' * (n - 1)}>"]
+        assert lines[-1] == \
+            "verify: power_sum=2 vectorized=2 fixpoint=2 agree=True"
 
     @pytest.mark.parametrize("tol, dim", [(["--tol-eig", "1e-3"], 1),
                                           ([], 2)])

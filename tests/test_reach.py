@@ -9,8 +9,8 @@ from qmc import reach
 from qmc.errors import DimensionMismatch
 
 from helpers import (block_unitary_channel, permutation_mixture_channel,
-                     random_channel, random_density, random_unit_vector,
-                     reference_vectorized_reach)
+                     projector, random_channel, random_density,
+                     random_unit_vector, reference_vectorized_reach)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -69,6 +69,39 @@ class TestImage:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             reach.image(ch.SuperOperator.unitary(np.eye(4)), la.Subspace.full(2))
+
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_is_the_support_of_the_projector_image(self, structured, rng):
+        # the definition through E(P_X), on dense and on gathered channels
+        for _ in range(10):
+            n = int(rng.integers(1, 4))
+            e = (pauli_channel(rng, n) if structured
+                 else random_channel(rng, n, n_kraus=2))
+            assert (e._gather is not None) == structured
+            g = rng.normal(size=(2 ** n, 2)) + 1j * rng.normal(size=(2 ** n, 2))
+            x = la.Subspace(la.orth_columns(g))
+            want = la.support(ch.apply(e, projector(x)))
+            got = reach.image(e, x)
+            assert got.dim == want.dim
+            assert got.same_space(want)
+
+
+def pauli_channel(rng, n_qubits):
+    """A random Pauli channel: weights on n-qubit products of I, X, Y, Z
+    drawn for a few random strings, so every Kraus operator has one
+    nonzero entry in each row."""
+    paulis = (ch.PAULI_I, ch.PAULI_X, ch.PAULI_Y, ch.PAULI_Z)
+    strings = {tuple(int(i) for i in rng.integers(0, 4, size=n_qubits))
+               for _ in range(3)}
+    weights = rng.random(len(strings)) + 0.1
+    weights /= weights.sum()
+    kraus = []
+    for w, string in zip(weights, sorted(strings)):
+        op = np.eye(1)
+        for i in string:
+            op = np.kron(op, paulis[i])
+        kraus.append(np.sqrt(w) * op)
+    return ch.SuperOperator.from_kraus(kraus)
 
 
 def adjacent(c, rho, sigma):
@@ -144,6 +177,26 @@ class TestThreeWayAgreement:
             else:
                 e = random_channel(rng, n_qubits,
                                    n_kraus=int(rng.integers(1, 4)))
+            c = chain_of(e)
+            rho = random_density(rng, d, rank=int(rng.integers(1, 3)))
+            a = reach.reachable_subspace(c, rho)
+            b = reach.reachable_subspace_vectorized(c, rho)
+            f = reach.reachable_fixpoint_oracle(c, rho)
+            assert a.dim == b.dim == f.dim
+            assert a.same_space(b)
+            assert a.same_space(f)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+    def test_routes_agree_on_pauli_and_permutation_channels(self, n_qubits,
+                                                            rng):
+        # channels applied by gather-and-scale
+        d = 2 ** n_qubits
+        for trial in range(12):
+            if trial % 2:
+                e = pauli_channel(rng, n_qubits)
+            else:
+                e = permutation_mixture_channel(rng, n_qubits)
+            assert e._gather is not None
             c = chain_of(e)
             rho = random_density(rng, d, rank=int(rng.integers(1, 3)))
             a = reach.reachable_subspace(c, rho)
@@ -249,6 +302,34 @@ class TestFixpointOracle:
     def test_x_chain_stabilises_after_one_join(self):
         out = reach.reachable_fixpoint_oracle(X_CHAIN, pure(KET0))
         assert out.dim == 2
+
+    def test_grows_from_frontier_images_only(self, rng, monkeypatch):
+        # no channel application and no d x d projector: each round takes
+        # `image` of the directions the last one added
+        e = permutation_mixture_channel(rng, 4)
+        c = chain_of(e)
+        rho = pure(np.eye(16)[0].astype(complex))
+        want = reach.reachable_subspace(c, rho)
+        seen = []
+        image = reach.image
+
+        def frontier_image(channel, x, rtol=la.TOL_EIG):
+            seen.append(x.dim)
+            return image(channel, x, rtol)
+
+        def refuse(*args):
+            raise AssertionError("the fixpoint route built a dense image")
+
+        monkeypatch.setattr(ch, "apply", refuse)
+        monkeypatch.setattr(la, "projector", refuse, raising=False)
+        monkeypatch.setattr(reach, "image", frontier_image)
+        got = reach.reachable_fixpoint_oracle(c, rho)
+        assert got.dim == want.dim
+        assert got.same_space(want)
+        # the frontiers are disjoint parts of the reached space, where
+        # images of the whole held space would have summed past it
+        assert seen[0] == 1 and len(seen) > 2
+        assert sum(seen) <= got.dim
 
     def test_iterates_monotonically(self, rng):
         e = random_channel(rng, 2, n_kraus=2)
