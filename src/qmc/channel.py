@@ -155,6 +155,15 @@ class SuperOperator:
         return 2 ** self.n_qubits
 
     @classmethod
+    def _held(cls, n_qubits, kraus, trace_class, unitary=False):
+        """The channel of read-only Kraus operators whose sum its maker
+        has checked, held as they are: no copy and no second check."""
+        out = object.__new__(cls)
+        vars(out).update(n_qubits=n_qubits, kraus=kraus,
+                         trace_class=trace_class, _unitary=unitary)
+        return out
+
+    @classmethod
     def from_kraus(cls, mats, trace_class=None) -> "SuperOperator":
         """Channel of a Kraus set; without a trace class it is preserving
         when the set is normalised and reducing otherwise."""
@@ -294,14 +303,9 @@ def embed(e: SuperOperator, targets, total: int) -> SuperOperator:
     largest entry and the same eigenvalues.  So it keeps `e`'s trace
     class and unitarity and is not checked again, which would cost
     O(K 8^total)."""
-    out = object.__new__(SuperOperator)
-    for name, value in (
-            ("n_qubits", total),
-            ("kraus", tuple(_frozen(expand_operator(k, targets, total))
-                            for k in e.kraus)),
-            ("trace_class", e.trace_class), ("_unitary", e._unitary)):
-        object.__setattr__(out, name, value)
-    return out
+    return SuperOperator._held(
+        total, tuple(_frozen(expand_operator(k, targets, total))
+                     for k in e.kraus), e.trace_class, e._unitary)
 
 
 @dataclass(frozen=True, eq=False)

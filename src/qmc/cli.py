@@ -223,15 +223,17 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def _single_location_channel(system: qts.QuantumTransitionSystem):
+    """The union of the one location's lifted Kraus sets, held with no
+    copy and no second check: the system checked their sum."""
     if len(system.locations) != 1:
         raise QmcError(
             "reach needs a single-location model (a sequential circuit); "
             f"this one has {len(system.locations)} locations")
-    kraus = []
-    for t in system.transitions:
-        kraus.extend(t.op.kraus)
-    return ch.SuperOperator(system.n_qubits, tuple(kraus),
-                            ch.TraceClass.PRESERVING)
+    if not system.transitions:
+        raise QmcError("reach needs a model with at least one transition")
+    kraus = tuple(k for t in system.transitions for k in t.op.kraus)
+    return ch.SuperOperator._held(system.n_qubits, kraus,
+                                  ch.TraceClass.PRESERVING)
 
 
 def _mutual_residual(a: la.Subspace, b: la.Subspace) -> float:
@@ -341,13 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qmc", description="model checker for quantum circuits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, init=True):
+    def common(p, run=True):
         p.add_argument("--model", required=True, help="model file (.qts)")
-        if init:
+        if run:
             p.add_argument("--init", default="|0>",
                            help="initial state: ket string or density-matrix file")
-        p.add_argument("--format", dest="output_format",
-                       choices=("text", "json"), default="text")
+            p.add_argument("--format", dest="output_format",
+                           choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="check temporal assertions")
     common(p_check)
@@ -370,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--depth", type=int, default=5)
 
     p_fmt = sub.add_parser("fmt", help="re-serialize a model canonically")
-    common(p_fmt, init=False)
+    common(p_fmt, run=False)
     return parser
 
 

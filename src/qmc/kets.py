@@ -3,77 +3,19 @@
 
 The bit string inside |...> is little-endian: character j is the bit of
 qubit j, with weight 2**(j-1).  See docs/assertion_format.md for the
-grammar.
+grammar.  The text is lexed by `parsing.tokenize`, so whitespace and
+`#` comments may stand between tokens as in any file.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
 from .errors import ParseError
-from .parsing import (IDENT, IMAG, MAX_DEPTH, NUMBER, PUNCT, Token,
-                      TokenStream, parse_complex)
-
-KET = "KET"
-
-_KET_RE = re.compile(r"\|([01]+)>")
-_NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
-_PUNCTS = ("+", "-", "/", "*", "(", ")")
-
-
-def _lex(text: str) -> list:
-    tokens = []
-    i, n = 0, len(text)
-    col = 1
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            col += 1
-            continue
-        m = _KET_RE.match(text, i)
-        if m:
-            tokens.append(Token(KET, m.group(0), m.group(1), 1, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            raw = m.group(0)
-            value = float(raw)
-            if value == math.inf:
-                raise ParseError("number literal out of range", 1, col)
-            end = m.end()
-            if end < n and text[end] == "i":
-                tokens.append(Token(IMAG, raw + "i", value, 1, col))
-                end += 1
-            else:
-                tokens.append(Token(NUMBER, raw, value, 1, col))
-            col += end - i
-            i = end
-            continue
-        if text.startswith("sqrt", i):
-            tokens.append(Token(IDENT, "sqrt", "sqrt", 1, col))
-            i += 4
-            col += 4
-            continue
-        if c == "i":
-            tokens.append(Token(IDENT, "i", "i", 1, col))
-            i += 1
-            col += 1
-            continue
-        if c in "+-/*()":
-            tokens.append(Token(PUNCT, c, c, 1, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r} in ket expression",
-                         1, col)
-    tokens.append(Token("EOF", "", None, 1, col))
-    return tokens
+from .parsing import (_KET_PUNCTS, IDENT, IMAG, KET, MAX_DEPTH, NUMBER,
+                      PUNCT, Token, TokenStream, parse_complex, tokenize)
 
 
 class _KetParser:
@@ -82,14 +24,13 @@ class _KetParser:
     one per group around it, at most MAX_DEPTH."""
 
     def __init__(self, text: str):
-        self.ts = TokenStream(_lex(text))
+        self.ts = TokenStream(tokenize(text, _KET_PUNCTS))
         self.n_bits = None
         self.depth = 1
 
     def parse(self) -> np.ndarray:
         vec = self.sum()
-        tok = self.ts.peek()
-        if tok.kind != "EOF":
+        if self.ts.peek().kind != "EOF":
             self.ts.error("trailing input in ket expression")
         return vec
 
@@ -144,8 +85,7 @@ class _KetParser:
 
     def scalar(self) -> complex:
         tok = self.ts.peek()
-        if tok.kind == IDENT and tok.text == "sqrt":
-            self.ts.next()
+        if self.ts.accept_punct("sqrt"):
             num = self.ts.peek()
             if num.kind != NUMBER:
                 self.ts.error("expected a number after sqrt")

@@ -78,12 +78,6 @@ def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    if len(a) * len(a) <= BLOCK:
-        # one block of rows covers `a`: the same pass on the whole matrix,
-        # without the loop's overhead (2-3 us a call at d <= 32)
-        diff = np.conjugate(a.T)
-        diff -= a
-        return bool(np.abs(diff).max(initial=0.0) <= tol)
     for rows in row_blocks(len(a), len(a)):
         diff = np.conjugate(a[:, rows].T)
         diff -= a[rows]
@@ -353,24 +347,3 @@ def _column_norms(m: np.ndarray) -> np.ndarray:
     from its real and imaginary parts, so no array of its size is built."""
     return np.sqrt(np.einsum("ij,ij->j", m.real, m.real)
                    + np.einsum("ij,ij->j", m.imag, m.imag))
-
-
-def schmidt(phi: np.ndarray, d: int, rtol: float = TOL_EIG):
-    """Schmidt decomposition of a vector on a d*d-dimensional bipartite space.
-
-    Returns [(coefficient, left, right), ...] with positive coefficients in
-    decreasing order, keeping terms above `rtol` times the largest; the sum
-    of coefficient * kron(left, right) reconstructs `phi`.
-    """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if phi.shape[0] != d * d:
-        raise DimensionMismatch(
-            f"vector dim {phi.shape[0]} is not {d}*{d}")
-    a = phi.reshape(d, d)  # kron(left, right): left index is most significant
-    u, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] <= 0.0:
-        return []
-    keep = s > rtol * s[0]
-    # a = u diag(s) vh, so phi = sum_j s_j u[:,j] (x) vh[j,:]
-    return [(float(s[j]), u[:, j].copy(), vh[j].copy())
-            for j in np.nonzero(keep)[0]]

@@ -1,4 +1,4 @@
-"""Lexing shared by the model, assertion and initial-state parsers.
+"""Lexing shared by the model, assertion, initial-state and ket parsers.
 
 Every file format is a token stream where `#` starts a comment and
 whitespace (including newlines) only separates tokens; every construct is
@@ -7,9 +7,11 @@ self-delimiting, so the recursive-descent parsers never need layout rules.
 `tokenize` lexes a whole text in one `re.finditer` pass of one compiled
 pattern per punctuation alphabet: each match absorbs the whitespace and
 comments before one token, and the name of the group that matched is the
-token's kind.  At a `[` that another `[` follows, a matrix literal of 25
-or more entries is read straight from the text by `_literal_array`, a
-fixed sequence of numpy passes over its bytes that makes no token or
+token's kind.  The ket alphabet of `kets.parse_ket` also reads `|bits>`
+as one KET token, and its one word of punctuation, `sqrt`, is tried
+before identifiers.  At a `[` that another `[` follows, a matrix literal
+of 25 or more entries is read straight from the text by `_literal_array`,
+a fixed sequence of numpy passes over its bytes that makes no token or
 Python number per entry, and becomes one MATRIX token.  Any other literal
 is lexed token by token and parsed by `parse_matrix`'s token path, which
 raises every error a literal can have.  The whole text is lexed before
@@ -34,6 +36,7 @@ IMAG = "IMAG"
 STRING = "STRING"
 PUNCT = "PUNCT"
 MATRIX = "MATRIX"  # a literal read from the text; its value is the array
+KET = "KET"  # `|bits>` in the ket alphabet; its value is the bit string
 EOF = "EOF"
 
 # The deepest syntax tree the assertion and ket parsers accept (see
@@ -58,15 +61,17 @@ class Token(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _scanner(puncts: tuple) -> re.Pattern:
     """Whitespace and comments, then one token; the longest punctuation
-    wins, and a number immediately followed by `i` is imaginary."""
+    wins, punctuation before an identifier, and a number immediately
+    followed by `i` is imaginary."""
     alts = "".join("|" + re.escape(p)
                    for p in sorted(puncts, key=len, reverse=True))
+    ket = r"|(?P<KET>\|[01]+>)" if _KET_PUNCTS <= set(puncts) else ""
     return re.compile(
         r'(?:[ \t\r\n]|(?P<comment>#[^\n]*))*(?:'
-        r'(?P<STRING>"[^"\n]*")|(?P<QUOTE>")'
+        rf'(?P<STRING>"[^"\n]*")|(?P<QUOTE>"){ket}'
         r'|(?P<NUMBER>\d+(?P<frac>\.\d*)?(?P<exp>[eE][+-]?\d+)?i?)'
-        r'|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)'
-        rf'|(?P<PUNCT>(?!){alts})|(?P<EOF>\Z)|(?P<BAD>.))', re.S)
+        rf'|(?P<PUNCT>(?!){alts})'
+        r'|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<EOF>\Z)|(?P<BAD>.))', re.S)
 
 
 def tokenize(text: str, puncts) -> list:
@@ -116,8 +121,8 @@ def tokenize(text: str, puncts) -> list:
                     if m["frac"] is None and m["exp"] is None:
                         value = int(raw)
                     append(new(Token, (NUMBER, raw, value, line, col)))
-            elif kind == STRING:
-                append(Token(STRING, raw, raw[1:-1], line, col))
+            elif kind == STRING or kind == KET:
+                append(Token(kind, raw, raw[1:-1], line, col))
             elif kind == EOF:
                 # a comment that runs to the end leaves EOF at its `#`
                 if m.end("comment") == len(text):
@@ -209,6 +214,10 @@ class TokenStream:
 # every literal in an alphabet that cannot spell one (_LITERAL_PUNCTS).
 
 _LITERAL_PUNCTS = frozenset("[],+-")
+# the alphabet of `kets.parse_ket`, the one that lexes KET tokens.  Its
+# `sqrt` is the only punctuation that is a word, so trying punctuation
+# before identifiers changes no other alphabet's tokens
+_KET_PUNCTS = frozenset(("sqrt", "+", "-", "/", "*", "(", ")"))
 _ROW_AHEAD = re.compile(r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*\[")
 _MIN_READ_COMMAS = 24
 _LITERAL_END = re.compile(

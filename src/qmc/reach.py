@@ -3,12 +3,10 @@
 Three interchangeable routes compute the subspace reachable from a state
 under iterated channel application:
 
-* the closed form: support of the sum of the first d channel powers,
-* the vectorized route: accumulate powers of the channel's matrix
-  representation sum_k E_k (x) conj(E_k) applied to vec(rho), contracted
-  leg by leg (E_k on the row leg, conj(E_k) on the column leg) without
-  forming that 4^n x 4^n matrix, and read the answer off a Schmidt
-  decomposition,
+* the closed form: support of the sum S of the first d channel powers,
+* the vectorized route: the left Schmidt vectors of vec(S), which is
+  sum_{i<d} M^i vec(rho) for the matrix representation M; they are S's
+  left singular vectors, so M is never formed,
 * a fixed-point iteration joining in frontier images: the image of only
   the directions the previous round added, until a round adds none.
 
@@ -19,8 +17,8 @@ read off the left singular vectors of the Kraus stack [E_1 B, ..., E_K B]
 (`channel.kraus_images`), cut where the squared singular value falls to
 `rtol` of the largest.  The fixpoint route takes that cut on each
 frontier's image, so relative to the frontier image's largest weight
-rather than the whole image's.  The closed form and the vectorized route
-step with `channel.apply`, which gathers and scales a Kraus set with one
+rather than the whole image's.  The closed form's sum steps with
+`channel.apply`, which gathers and scales a Kraus set with one
 nonzero entry per row instead of multiplying matrices.
 """
 
@@ -80,10 +78,9 @@ def _check_state(c: QuantumMarkovChain, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def reachable_subspace(c: QuantumMarkovChain, rho: np.ndarray,
-                       rtol: float = la.TOL_EIG) -> la.Subspace:
-    """Closed form: support of sum_{i<d} E^i(rho).  The running sum is
-    renormalised by its trace each round, which leaves the support alone."""
+def _power_sum(c: QuantumMarkovChain, rho: np.ndarray) -> np.ndarray:
+    """sum_{i<d} E^i(rho), the running sum renormalised by its trace each
+    round, which leaves its support alone."""
     rho = _check_state(c, rho)
     acc = rho / float(np.trace(rho).real)
     cur = acc
@@ -93,33 +90,23 @@ def reachable_subspace(c: QuantumMarkovChain, rho: np.ndarray,
         tr = float(np.trace(acc).real)
         acc /= tr
         cur /= tr
-    return la.support(acc, rtol)
+    return acc
+
+
+def reachable_subspace(c: QuantumMarkovChain, rho: np.ndarray,
+                       rtol: float = la.TOL_EIG) -> la.Subspace:
+    """Closed form: the support of sum_{i<d} E^i(rho)."""
+    return la.support(_power_sum(c, rho), rtol)
 
 
 def reachable_subspace_vectorized(c: QuantumMarkovChain, rho: np.ndarray,
                                   rtol: float = la.TOL_EIG) -> la.Subspace:
-    """Vectorized route: Phi = sum_{i<d} M^i vec(rho) lives on a doubled
-    space; the left Schmidt vectors with non-negligible coefficient span the
-    reachable subspace.
-
-    M = sum_k E_k (x) conj(E_k) is never formed.  Phi is kept as its d x d
-    legs (row-major vec), and M acts on it by contraction: E_k on the row
-    leg and conj(E_k) on the column leg, so one step is
-    sum_k E_k X E_k^dagger at O(K d^3) time and O(d^2) memory."""
-    rho = _check_state(c, rho)
-    d = c.dim
-    phi_step = rho
-    acc = rho.copy()
-    for _ in range(d - 1):
-        phi_step = ch.apply(c.channel, phi_step)
-        acc += phi_step
-        scale = np.linalg.norm(acc)
-        acc /= scale
-        phi_step /= scale
-    terms = la.schmidt(acc, d, rtol)
-    if not terms:
-        return la.Subspace.zero(d)
-    return la.Subspace(np.column_stack([left for _, left, _ in terms]))
+    """Vectorized route: the left Schmidt vectors of
+    Phi = sum_{i<d} M^i vec(rho), cut at `rtol` times the largest
+    coefficient.  M vec(X) = vec(E(X)) for M = sum_k E_k (x) conj(E_k), so
+    Phi is vec(S) for the closed form's sum S, whose left singular vectors
+    they are."""
+    return la.Subspace(la.orth_columns(_power_sum(c, rho), rtol))
 
 
 def reachable_fixpoint_oracle(c: QuantumMarkovChain, rho: np.ndarray,

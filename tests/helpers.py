@@ -44,6 +44,23 @@ def projector(x):
     return x.basis @ x.basis.conj().T
 
 
+def schmidt(phi, d, rtol=la.TOL_EIG):
+    """Schmidt decomposition of a vector on a d*d-dimensional bipartite
+    space: [(coefficient, left, right), ...] with positive coefficients in
+    decreasing order, keeping terms above `rtol` times the largest; the
+    sum of coefficient * kron(left, right) reconstructs `phi`."""
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    if phi.shape[0] != d * d:
+        raise DimensionMismatch(f"vector dim {phi.shape[0]} is not {d}*{d}")
+    a = phi.reshape(d, d)  # kron(left, right): left index is most significant
+    u, s, vh = np.linalg.svd(a)
+    if s.size == 0 or s[0] <= 0.0:
+        return []
+    # a = u diag(s) vh, so phi = sum_j s_j u[:,j] (x) vh[j,:]
+    return [(float(s[j]), u[:, j].copy(), vh[j].copy())
+            for j in np.flatnonzero(s > rtol * s[0])]
+
+
 def random_channel(rng, n_qubits, n_kraus=3):
     """Random trace-preserving channel: Gaussian operators renormalised by
     the inverse square root of their squared sum."""
@@ -97,7 +114,7 @@ def permutation_mixture_channel(rng, n_qubits, block=None):
 def reference_vectorized_reach(chain, rho, rtol=la.TOL_EIG):
     """`reach.reachable_subspace_vectorized` on the materialised 4^n x 4^n
     matrix `channel.matrix_rep`: d - 1 dense matrix-vector products on
-    vec(rho), renormalised by the Euclidean norm, read off by `la.schmidt`."""
+    vec(rho), renormalised by the Euclidean norm, read off by `schmidt`."""
     d = chain.dim
     m = ch.matrix_rep(chain.channel)
     phi_step = np.asarray(rho, dtype=complex).reshape(-1).copy()
@@ -108,7 +125,7 @@ def reference_vectorized_reach(chain, rho, rtol=la.TOL_EIG):
         scale = np.linalg.norm(acc)
         acc = acc / scale
         phi_step = phi_step / scale
-    terms = la.schmidt(acc, d, rtol)
+    terms = schmidt(acc, d, rtol)
     if not terms:
         return la.Subspace.zero(d)
     return la.Subspace(np.column_stack([left for _, left, _ in terms]))

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmc import channel as ch
-from qmc import cli, kets, qts
+from qmc import cli, kets, qts, reach
 from qmc import linalg as la
 from qmc.parsing import MAX_DEPTH, parse_text
 
@@ -388,6 +388,38 @@ class TestReach:
             "verify: power_sum=2 vectorized=2 fixpoint=2 max_residual=")
         assert line.endswith(" agree=False")
 
+    def test_lifted_channel_is_held_without_a_second_check(self,
+                                                          monkeypatch):
+        # the system checked its one location's Kraus sum; the union of
+        # the lifted sets is neither copied nor checked again at 2^n
+        system = dephasing_loop_qts(6)
+        checked = []
+        post_init = ch.SuperOperator.__post_init__
+
+        def counting(self):
+            checked.append(self.n_qubits)
+            post_init(self)
+
+        monkeypatch.setattr(ch.SuperOperator, "__post_init__", counting)
+        channel = cli._single_location_channel(system)
+        assert checked == []
+        lifted = [k for t in system.transitions for k in t.op.kraus]
+        assert len(channel.kraus) == len(lifted) == 12
+        assert all(a is b for a, b in zip(channel.kraus, lifted))
+        assert channel.trace_class is ch.TraceClass.PRESERVING
+        chain = reach.QuantumMarkovChain(channel.dim, channel)
+        rho = np.zeros((64, 64), dtype=complex)
+        rho[0, 0] = 1.0
+        assert reach.reachable_subspace(chain, rho).dim == 2
+        assert checked == []
+
+    def test_model_without_transitions_rejected(self, capsys, tmp_path):
+        model = tmp_path / "still.qts"
+        model.write_text("qubits 1\nlocations l0\ninitial l0\ntransitions\n")
+        code, _, err = run_cli(capsys, "reach", "--model", str(model))
+        assert code == cli.EXIT_ERROR
+        assert "at least one transition" in err
+
     def test_multi_location_model_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "reach", "--model", str(FIXTURES / "teleport.qts"),
@@ -547,6 +579,16 @@ class TestFmt:
         redone.write_text(once)
         _, twice, _ = run_cli(capsys, "fmt", "--model", str(redone))
         assert once == twice
+
+
+    def test_fmt_takes_no_format(self, capsys):
+        # fmt prints the model text and nothing else; --format, which it
+        # never read, is refused rather than ignored
+        with pytest.raises(SystemExit) as info:
+            cli.main(["fmt", "--model", str(FIXTURES / "teleport.qts"),
+                      "--format", "json"])
+        assert info.value.code != 0
+        assert "--format" in capsys.readouterr().err
 
 
 class TestOutOfRangeLiterals:

