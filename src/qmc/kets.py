@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ParseError
 from .parsing import (_KET_PUNCTS, IDENT, IMAG, KET, MAX_DEPTH, NUMBER,
-                      PUNCT, Token, TokenStream, parse_complex, tokenize)
+                      PUNCT, Token, TokenStream, _format_real, parse_complex,
+                      tokenize)
 
 
 class _KetParser:
@@ -166,12 +167,9 @@ def ket_string(vec: np.ndarray, digits: int = None) -> str:
         raise ParseError(f"vector of dim {vec.shape[0]} is not a ket", 1, 1)
 
     def num(x: float) -> str:
-        x = float(x)
         if digits is not None:
             x = float(f"%.{digits}g" % x)
-        if x == int(x) and abs(x) < 1e15:
-            return repr(int(x))
-        return repr(x)
+        return _format_real(x)
 
     parts = []
     for idx in range(vec.shape[0]):

@@ -166,15 +166,14 @@ TRUE = Prop(PTrue())
 FALSE = Prop(PFalse())
 
 
-class _TooDeep(ParseError):
-    """A formula deeper than MAX_DEPTH; no backtracking retries it."""
-
-
 class _FormulaParser:
-    """Recursive descent over the token stream.  Precedence, loosest first:
-    `->` (right associative), `&&`, then the prefix operators `!`, `E`, `A`.
-    After a quantifier comes a path formula: `X f`, `F f`, `G f`, a
-    parenthesised path formula, or `f U g`.
+    """Recursive descent over the token stream, one pass with no
+    backtracking.  Precedence, loosest first: `->` (right associative),
+    `&&`, then the prefix operators `!`, `E`, `A`.  After a quantifier
+    comes a path formula: `X f`, `F f`, `G f`, a parenthesised path
+    formula, or `f U g`.  A `(` there opens a path group when its content
+    is a path formula; when it is a state formula, the group opens the
+    left side of `f U g` as its first operand, and parsing goes on.
 
     Every method returns a tree with its height: the nodes on its longest
     path down, sugar expanded.  `depth` counts the tree levels known to lie
@@ -191,8 +190,8 @@ class _FormulaParser:
         self.nesting = 0
 
     def _refuse(self, tok):
-        raise _TooDeep(f"formula nests deeper than {MAX_DEPTH} levels",
-                       tok.line, tok.column)
+        raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels",
+                         tok.line, tok.column)
 
     def _fits(self, tok, height: int) -> int:
         if self.depth + height > MAX_DEPTH:
@@ -208,15 +207,14 @@ class _FormulaParser:
         levels = 0 if group else 1
         self.depth += levels
         self.nesting += 1
-        try:
-            yield
-        finally:
-            self.depth -= levels
-            self.nesting -= 1
+        yield
+        self.depth -= levels
+        self.nesting -= 1
 
-    def _chain(self, punct, node, operand):
-        """Left-associative `a op b op c`, read node(node(a, b), c)."""
-        left, height = operand()
+    def _chain(self, punct, node, operand, first=None):
+        """Left-associative `a op b op c`, read node(node(a, b), c); `first`
+        is `a` with its height when it has already been parsed."""
+        left, height = first or operand()
         while self.ts.at_punct(punct):
             tok = self.ts.next()
             right, right_height = operand()
@@ -224,8 +222,8 @@ class _FormulaParser:
             height = self._fits(tok, 1 + max(height, right_height))
         return left, height
 
-    def state(self):
-        left, height = self._chain("&&", And, self.unary)
+    def state(self, first=None):
+        left, height = self._chain("&&", And, self.unary, first)
         if not self.ts.at_punct("->"):
             return left, height
         tok = self.ts.next()
@@ -255,10 +253,11 @@ class _FormulaParser:
                     self._fits(tok, height + 4))
         return self.primary()
 
-    def path(self):
+    def path(self, grouped=False):
         """(kind, tree, height): kind "path" for X, F and U, whose tree is
         the path formula, and "G" for `G f`, whose tree is f, as its
-        expansion needs the quantifier."""
+        expansion needs the quantifier.  In a group's content (`grouped`),
+        kind "state" is a state formula that no `U` follows."""
         tok = self.ts.peek()
         if self.ts.at_keyword("X", "F", "G"):
             self.ts.next()
@@ -270,20 +269,18 @@ class _FormulaParser:
                 return ("path", Until(TRUE, sub),
                         self._fits(tok, max(height, 2) + 1))
             return "G", sub, height
+        first = None
         if self.ts.at_punct("("):
-            # try a parenthesised path formula, fall back to `state U state`
-            saved = self.ts.pos
             self.ts.next()
-            try:
-                with self._below(tok, group=True):
-                    kind, payload, height = self.path()
-                self.ts.expect_punct(")")
+            with self._below(tok, group=True):
+                kind, payload, height = self.path(grouped=True)
+            self.ts.expect_punct(")")
+            if kind != "state":
                 return kind, payload, height
-            except _TooDeep:
-                raise
-            except ParseError:
-                self.ts.pos = saved
-        left, left_height = self.state()
+            first = payload, height  # it opens the `f` of `f U g`
+        left, left_height = self.state(first)
+        if grouped and not self.ts.at_keyword("U"):
+            return "state", left, left_height
         tok = self.ts.expect_keyword("U")
         right, right_height = self.state()
         return ("path", Until(left, right),

@@ -493,15 +493,18 @@ def format_complex(z: complex) -> str:
     """Canonical text for a complex literal; floats keep full precision so
     serialize -> parse round trips exactly."""
     re_, im = float(z.real), float(z.imag)
-
-    def num(x: float) -> str:
-        if x == int(x) and abs(x) < 1e15:
-            return repr(int(x))
-        return repr(x)
-
     if im == 0.0:
-        return num(re_)
+        return _format_real(re_)
     if re_ == 0.0:
-        return num(im) + "i"
+        return _format_real(im) + "i"
     op = "+" if im >= 0.0 else "-"
-    return f"{num(re_)}{op}{num(abs(im))}i"
+    return f"{_format_real(re_)}{op}{_format_real(abs(im))}i"
+
+
+def _format_real(x) -> str:
+    """An integral value below 1e15 in magnitude as an integer, any other
+    as its full-precision repr."""
+    x = float(x)
+    if x == int(x) and abs(x) < 1e15:
+        return repr(int(x))
+    return repr(x)

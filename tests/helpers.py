@@ -228,6 +228,39 @@ def random_state_formula(rng, atoms, depth):
     return lg.Exists(sub) if kind == "eu" else lg.Forall(sub)
 
 
+def regrouped_text(rng, formula, p=0.3, most=2):
+    """A sugar-free state formula as `print_formula` writes it, with up to
+    `most` extra pairs of parentheses around each state subformula and
+    each path formula, each pair added with probability `p`."""
+    def group(text):
+        for _ in range(most):
+            if rng.random() >= p:
+                break
+            text = f"({text})"
+        return text
+
+    def state(f, tight=False):
+        if isinstance(f, lg.Not):
+            text = "! " + state(f.sub, tight=True)
+        elif isinstance(f, lg.And):
+            text = f"{state(f.left, True)} && {state(f.right, True)}"
+            if tight:
+                text = f"({text})"
+        elif isinstance(f, (lg.Exists, lg.Forall)):
+            quant = "E " if isinstance(f, lg.Exists) else "A "
+            text = quant + path(f.path)
+        else:
+            text = lg.print_formula(f)
+        return group(text)
+
+    def path(f):
+        if isinstance(f, lg.Next):
+            return group("X " + state(f.sub, tight=True))
+        return group(f"({state(f.left)} U {state(f.right)})")
+
+    return state(formula)
+
+
 _LEAF_GATES = ("H", "X", "Y", "Z", "S", "T")
 
 

@@ -1,5 +1,8 @@
+import collections
+import contextlib
 import inspect
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -11,9 +14,12 @@ from qmc import linalg as la
 from qmc import logic as lg
 from qmc.errors import DimensionMismatch, ParseError, UnboundAtom
 from qmc.kets import ket_string, parse_ket
-from qmc.parsing import MAX_DEPTH
+from qmc.parsing import MAX_DEPTH, TokenStream, tokenize
 
-from helpers import random_state_formula, random_subspace, random_unit_vector
+from helpers import (random_state_formula, random_subspace, random_unit_vector,
+                     regrouped_text)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -164,6 +170,60 @@ class TestFormulaParser:
                                      depth=int(rng.integers(0, 4)))
             assert lg.parse_formula(lg.print_formula(f)) == f
 
+    @settings(max_examples=300)
+    @given(st.integers(0, 100_000))
+    def test_extra_grouping_keeps_the_tree(self, seed):
+        # parentheses around state subformulas and path formulas, also
+        # the `(f) U g` whose group is not a path group
+        rng = np.random.default_rng(seed)
+        f = random_state_formula(rng, ["p", "q"],
+                                 depth=int(rng.integers(0, 5)))
+        text = regrouped_text(rng, f)
+        assert lg.parse_formula(text) == \
+            lg.parse_formula(lg.print_formula(f)) == f
+
+
+@contextlib.contextmanager
+def reads():
+    """Each (stream, position) that TokenStream.next reads from, in order;
+    the streams are held, so no two of them share an id."""
+    seen = []
+    original = TokenStream.next
+
+    def recording_next(ts):
+        seen.append((ts, ts.pos))
+        return original(ts)
+
+    TokenStream.next = recording_next
+    try:
+        yield seen
+    finally:
+        TokenStream.next = original
+
+
+def nested_until(k):
+    """f_0 = [a], f_{k+1} = E ((f_k) U [b]): every group after `E` holds
+    the state formula that opens `f U g`."""
+    text = "[a]"
+    for _ in range(k):
+        text = f"E (({text}) U [b])"
+    return text
+
+
+class TestOnePass:
+    def test_no_token_is_read_twice(self):
+        text = nested_until(8)
+        with reads() as seen:
+            lg.parse_formula(text)
+        assert len(seen) == len(tokenize(text, lg._PUNCTS)) - 1 == 75
+
+    def test_deep_groups_parse_and_refuse_at_once(self):
+        f = lg.parse_formula(nested_until(20))
+        assert lg.parse_formula(lg.print_formula(f)) == f
+        text = "E " + "(E (" * 12 + "[a] U [b]" + "))" * 12
+        with pytest.raises(ParseError, match="expected keyword 'U'"):
+            lg.parse_formula(text)
+
 
 L = MAX_DEPTH
 # formula shapes: (text at the limit, text one level over it, the column
@@ -210,7 +270,7 @@ class TestDepthLimit:
         assert f"nests deeper than {MAX_DEPTH} levels" in str(info.value)
 
     def test_refusal_is_not_taken_back_by_backtracking(self):
-        # `E (` first tries a parenthesised path formula
+        # `E (X` opens a parenthesised path formula
         text = "E (X " + "!" * L + "[z])"
         with pytest.raises(ParseError, match="nests deeper"):
             lg.parse_formula(text)
@@ -417,3 +477,30 @@ assert "reach"  : E (true U [diag])
     def test_statement_required(self):
         with pytest.raises(ParseError):
             lg.parse_assertions("banana")
+
+    # the tokens the fuzz below inserts, besides each fixture's own
+    EXTRA = ("E", "A", "X", "F", "G", "U", "true", "false", "let", "assert",
+             "span", "matrix", '"|0>"', "0", "1.5", "x")
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(FIXTURES.glob("*.ctql"))), st.data())
+    def test_mutated_fixtures_are_read_once_or_refused(self, path, data):
+        words = [t.text for t in tokenize(path.read_text(), lg._PUNCTS)[:-1]]
+        pool = sorted(set(words) | set(lg._PUNCTS) | set(self.EXTRA))
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(words)))
+            op = data.draw(st.sampled_from(["delete", "insert", "swap"]))
+            if op == "insert":
+                words.insert(i, data.draw(st.sampled_from(pool)))
+            elif i < len(words) - 1:
+                if op == "delete":
+                    del words[i]
+                else:
+                    words[i], words[i + 1] = words[i + 1], words[i]
+        with reads() as seen:
+            try:
+                lg.parse_assertions(" ".join(words))
+            except ParseError:
+                pass
+        counts = collections.Counter((id(ts), pos) for ts, pos in seen)
+        assert max(counts.values(), default=1) == 1
