@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -60,8 +61,10 @@ class RunConfig:
             raise QmcError("--depth must not be negative")
         for name in ("tol_member", "tol_eig"):
             value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise QmcError(f"--{name.replace('_', '-')} must be positive")
+            # NaN fails both comparisons
+            if value is not None and not 0.0 < value < math.inf:
+                raise QmcError(f"--{name.replace('_', '-')} must be "
+                               f"positive and finite")
 
 
 def _load_model(cfg: RunConfig) -> qts.QuantumTransitionSystem:

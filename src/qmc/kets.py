@@ -14,15 +14,19 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .parsing import (_KET_PUNCTS, IDENT, IMAG, KET, MAX_DEPTH, NUMBER,
-                      PUNCT, Token, TokenStream, _format_real, parse_complex,
+from .parsing import (_KET_PUNCTS, KET, MAX_DEPTH, NUMBER, PUNCT, Token,
+                      TokenStream, _complex_at, _format_real, _is_part, _part,
                       tokenize)
 
 
 class _KetParser:
-    """Recursive descent that evaluates as it goes; only a parenthesised
-    group recurses, so the syntax tree's depth is one for the ket plus
-    one per group around it, at most MAX_DEPTH."""
+    """Recursive descent in one pass that evaluates as it goes; only a
+    parenthesised group recurses, so the syntax tree's depth is one for
+    the ket plus one per group around it, at most MAX_DEPTH.  At a `(`,
+    `coef` reads the complex literal that may follow: when `)` closes it,
+    the parentheses hold a coefficient, and otherwise the `(` opens a
+    group, since a group holds a ket before its `)` and a literal holds
+    none."""
 
     def __init__(self, text: str):
         self.ts = TokenStream(tokenize(text, _KET_PUNCTS))
@@ -59,14 +63,10 @@ class _KetParser:
         return vec
 
     def factor(self) -> np.ndarray:
-        coef = 1.0 + 0.0j
-        tok = self.ts.peek()
-        if tok.kind in (NUMBER, IMAG) or (tok.kind == IDENT and
-                                          tok.text == "i"):
-            coef = self._simple_coef()
-            self.ts.accept_punct("*")
-        elif self.ts.at_punct("(") and not self._group_has_ket():
-            coef = self._paren_complex()
+        coef = self.coef()
+        if coef is None:
+            coef = 1.0 + 0.0j
+        else:
             self.ts.accept_punct("*")
         tok = self.ts.peek()
         if tok.kind == KET:
@@ -85,53 +85,37 @@ class _KetParser:
         self.ts.error("expected a ket")
 
     def scalar(self) -> complex:
-        tok = self.ts.peek()
         if self.ts.accept_punct("sqrt"):
             num = self.ts.peek()
             if num.kind != NUMBER:
                 self.ts.error("expected a number after sqrt")
             self.ts.next()
             return complex(math.sqrt(float(num.value)))
-        if tok.kind in (NUMBER, IMAG) or (tok.kind == IDENT and
-                                          tok.text == "i"):
-            return self._simple_coef()
-        if self.ts.at_punct("("):
-            return self._paren_complex()
-        self.ts.error("expected a scalar")
-
-    def _simple_coef(self) -> complex:
-        tok = self.ts.next()
-        if tok.kind == NUMBER:
-            return complex(float(tok.value))
-        if tok.kind == IMAG:
-            return complex(0.0, tok.value)
-        return 1j  # bare `i`
-
-    def _paren_complex(self) -> complex:
-        self.ts.expect_punct("(")
-        z = parse_complex(self.ts)
-        self.ts.expect_punct(")")
+        z = self.coef()
+        if z is None:
+            self.ts.error("expected a scalar")
         return z
 
-    def _group_has_ket(self) -> bool:
-        """Lookahead: does the parenthesised group starting here contain a
-        ket?  Distinguishes a complex coefficient "(0.1+0.2i)" from a
-        grouped sum "(|0> + |1>)"."""
-        depth = 0
-        pos = self.ts.pos
-        while True:
-            tok = self.ts.tokens[pos]
-            if tok.kind == "EOF":
-                return False
-            if tok.kind == PUNCT and tok.text == "(":
-                depth += 1
-            elif tok.kind == PUNCT and tok.text == ")":
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif tok.kind == KET and depth > 0:
-                return True
-            pos += 1
+    def coef(self):
+        """The coefficient at the cursor, a number, an imaginary number, `i`
+        or a complex literal in parentheses, read by `parsing._part` and
+        `_complex_at`; None, with the cursor left in place, at any other
+        token and at a `(` that opens a group."""
+        ts = self.ts
+        toks, i = ts.tokens, ts.pos
+        if _is_part(toks[i]):
+            ts.pos = i + 1
+            return _part(ts, i, 1.0)
+        if not ts.at_punct("("):
+            return None
+        first = i + 2 if toks[i + 1].text in ("+", "-") else i + 1
+        if not _is_part(toks[first]):
+            return None
+        z, i = _complex_at(ts, i + 1)
+        if toks[i].kind != PUNCT or toks[i].text != ")":
+            return None
+        ts.pos = i + 1
+        return z
 
     def _basis_vector(self, tok: Token) -> np.ndarray:
         bits = tok.value

@@ -408,6 +408,11 @@ def _literal_array(lit: str):
 _SIGNS = {"+": 1.0, "-": -1.0}
 
 
+def _is_part(tok: Token) -> bool:
+    """Whether `_part` reads `tok`: a number, an imaginary number or `i`."""
+    return tok.kind in (NUMBER, IMAG) or (tok.kind == IDENT and tok.text == "i")
+
+
 def _part(ts: TokenStream, i: int, sign: float) -> complex:
     """The real or imaginary part of a complex literal at token i."""
     tok = ts.tokens[i]
@@ -451,12 +456,6 @@ def _expect_at(ts: TokenStream, i: int, text: str) -> int:
         ts.pos = i
         ts.error(f"expected {text!r}")
     return i + 1
-
-
-def parse_complex(ts: TokenStream) -> complex:
-    """Complex literal; see `_complex_at`."""
-    z, ts.pos = _complex_at(ts, ts.pos)
-    return z
 
 
 def parse_matrix(ts: TokenStream) -> np.ndarray:

@@ -79,18 +79,17 @@ def _check_state(c: QuantumMarkovChain, rho: np.ndarray) -> np.ndarray:
 
 
 def _power_sum(c: QuantumMarkovChain, rho: np.ndarray) -> np.ndarray:
-    """sum_{i<d} E^i(rho), the running sum renormalised by its trace each
-    round, which leaves its support alone."""
+    """sum_{i<d} E^i(rho) scaled to unit trace, which leaves its support
+    alone.  The chain's channel preserves trace, so every term has unit
+    trace and the sum is divided once, after the loop; the division stays
+    because `la.support` checks Hermiticity to an absolute tolerance."""
     rho = _check_state(c, rho)
     acc = rho / float(np.trace(rho).real)
     cur = acc
     for _ in range(c.dim - 1):
         cur = ch.apply(c.channel, cur)
         acc += cur
-        tr = float(np.trace(acc).real)
-        acc /= tr
-        cur /= tr
-    return acc
+    return acc / float(np.trace(acc).real)
 
 
 def reachable_subspace(c: QuantumMarkovChain, rho: np.ndarray,

@@ -610,7 +610,7 @@ def reference_tokenize(text, puncts):
 
 
 def reference_parse_complex(ts):
-    """`parsing.parse_complex` through the `TokenStream` cursor calls."""
+    """`parsing._complex_at` through the `TokenStream` cursor calls."""
 
     def part(sign):
         tok = ts.peek()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -7,13 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmc import channel as ch
 from qmc import cli, kets, qts, reach
 from qmc import linalg as la
-from qmc.parsing import MAX_DEPTH, parse_text
+from qmc.parsing import _KET_PUNCTS, MAX_DEPTH, parse_text, tokenize
 
 from helpers import dephasing_loop_qts
 from test_logic import DEEP_SHAPES
@@ -771,6 +773,56 @@ class TestInitStates:
             capsys, "check", "--model", "no_such.qts",
             "--assert", str(FIXTURES / "teleport.ctql"))
         assert code == cli.EXIT_ERROR
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.0",
+                                       "-1", "1e400"])
+    @pytest.mark.parametrize("flag", ["--tol-member", "--tol-eig"])
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_a_tolerance_must_be_positive_and_finite(self, capsys, command,
+                                                     flag, value):
+        args = (["--model", str(FIXTURES / "teleport.qts"), "--assert",
+                 str(FIXTURES / "teleport.ctql"), "--init", TELEPORT_INIT]
+                if command == "check" else
+                ["--model", str(FIXTURES / "xloop.qts"), "--verify"])
+        code, out, err = run_cli(capsys, command, *args, f"{flag}={value}")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == f"qmc: error: {flag} must be positive and finite\n"
+
+
+class TestKetInitFuzz:
+    SEEDS = (TELEPORT_INIT, "(|000> + |111>)/sqrt2",
+             "0.6|000> - (0.3+0.4i)|001> + i*|010>",
+             "(0.5)((|000> - (-0.5i)|100>)/(1-2i))")
+    # the ket alphabet; a seed's own tokens are added, so every ket that a
+    # mutant holds has the teleport model's three qubits
+    ALPHABET = ("(", ")", "+", "-", "/", "*", "sqrt", "i", "0", "2", "1e308")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SEEDS), st.data())
+    def test_mutated_ket_init_exits_cleanly(self, seed, data):
+        words = [t.text for t in tokenize(seed, _KET_PUNCTS)[:-1]]
+        pool = sorted(set(words) | set(self.ALPHABET))
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(words)))
+            op = data.draw(st.sampled_from(["delete", "insert", "swap"]))
+            if op == "insert":
+                words.insert(i, data.draw(st.sampled_from(pool)))
+            elif i < len(words) - 1:
+                if op == "delete":
+                    del words[i]
+                else:
+                    words[i], words[i + 1] = words[i + 1], words[i]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["check", "--model", str(FIXTURES / "teleport.qts"),
+                             "--assert", str(FIXTURES / "teleport.ctql"),
+                             "--init", " ".join(words)])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3), err
+        assert err.count("qmc: error:") <= 1, err
+        assert "internal error" not in err, err
 
 
 def test_internal_crash_exits_with_error_code(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmc import checker, qts
+from qmc import checker, kets, qts
 from qmc import linalg as la
 from qmc import logic as lg
 from qmc.errors import DimensionMismatch, ParseError, UnboundAtom
@@ -223,6 +223,25 @@ class TestOnePass:
         text = "E " + "(E (" * 12 + "[a] U [b]" + "))" * 12
         with pytest.raises(ParseError, match="expected keyword 'U'"):
             lg.parse_formula(text)
+
+    def test_ket_reads_grow_linearly_with_nesting(self, monkeypatch):
+        # a group's `(` is told from a coefficient's by the few tokens
+        # after it
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingList.reads += 1
+                return super().__getitem__(i)
+
+        monkeypatch.setattr(kets, "tokenize", lambda text, puncts:
+                            CountingList(tokenize(text, puncts)))
+        counts = []
+        for k in (30, 60):
+            CountingList.reads = 0
+            assert np.array_equal(parse_ket("(" * k + "|0>" + ")" * k), KET0)
+            counts.append(CountingList.reads)
+        assert counts[1] <= 2.2 * counts[0], counts
 
 
 L = MAX_DEPTH
