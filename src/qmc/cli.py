@@ -4,7 +4,8 @@ Subcommands:
 
 * ``qmc check --model M.qts --assert A.ctql --init "|0>"`` checks every
   assertion and exits with the worst verdict (0 holds, 1 fails, 2 unknown,
-  3 error; an internal crash is reported in one line and also exits 3).
+  3 error; a usage error and an internal crash are reported in one line
+  and also exit 3).
 * ``qmc reach --model M.qts --init "|0>" [--verify]`` prints the reachable
   subspace of a single-location model; --verify cross-runs the three
   reachability algorithms and reports their largest mutual residual.
@@ -341,8 +342,18 @@ def cmd_fmt(cfg: RunConfig) -> int:
     return EXIT_HOLDS
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 3 like any other error,
+    not 2, the code of an `unknown` verdict.  Subparsers are made with the
+    same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmc", description="model checker for quantum circuits")
     sub = parser.add_subparsers(dest="command", required=True)
 

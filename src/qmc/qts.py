@@ -675,13 +675,13 @@ def _parse_model(ts: TokenStream) -> QuantumTransitionSystem:
     initial_tok = ts.expect_ident("initial location")
 
     ts.expect_keyword("transitions")
+    known = set(locations)
     transitions = []
     positions = {}
     channels = {}
     while ts.peek().kind != EOF:
         pre_tok = ts.peek()
-        transitions.append(_parse_transition(ts, n_qubits, set(locations),
-                                             channels))
+        transitions.append(_parse_transition(ts, n_qubits, known, channels))
         positions.setdefault(transitions[-1].pre, (pre_tok.line,
                                                    pre_tok.column))
 

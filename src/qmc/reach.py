@@ -20,11 +20,15 @@ frontier's image, so relative to the frontier image's largest weight
 rather than the whole image's.  The closed form's sum steps with
 `channel.apply`, which gathers and scales a Kraus set with one
 nonzero entry per row instead of multiplying matrices.
+
+The closed form and the vectorized route read the same sum, and each
+chain keeps the last one it made (`_power_sum`), so asking both routes
+about one chain and state makes the d - 1 channel applications once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +44,9 @@ class QuantumMarkovChain:
 
     dim: int
     channel: ch.SuperOperator
+    # `_power_sum`'s computed table: the bytes of the last state and the
+    # read-only sum made from it
+    _memo: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.channel.dim != self.dim:
@@ -82,14 +89,29 @@ def _power_sum(c: QuantumMarkovChain, rho: np.ndarray) -> np.ndarray:
     """sum_{i<d} E^i(rho) scaled to unit trace, which leaves its support
     alone.  The chain's channel preserves trace, so every term has unit
     trace and the sum is divided once, after the loop; the division stays
-    because `la.support` checks Hermiticity to an absolute tolerance."""
+    because `la.support` checks Hermiticity to an absolute tolerance.
+
+    The closed form and the vectorized route both read this sum, so the
+    chain keeps the last one, read-only, with a copy of the bytes of the
+    state it came from: one d x d copy of the state plus the sum, held for
+    the chain's lifetime.  A state whose bytes equal the held copy gets
+    the held sum back; the bytes are compared, not the values, so -0.0
+    against 0.0, or a NaN payload, is a different state.  Any other state,
+    including the caller's array edited in place since, is summed again
+    and replaces the entry."""
     rho = _check_state(c, rho)
+    key = rho.tobytes()
+    if c._memo is not None and c._memo[0] == key:
+        return c._memo[1]
     acc = rho / float(np.trace(rho).real)
     cur = acc
     for _ in range(c.dim - 1):
         cur = ch.apply(c.channel, cur)
         acc += cur
-    return acc / float(np.trace(acc).real)
+    acc /= float(np.trace(acc).real)
+    acc.setflags(write=False)
+    object.__setattr__(c, "_memo", (key, acc))
+    return acc
 
 
 def reachable_subspace(c: QuantumMarkovChain, rho: np.ndarray,

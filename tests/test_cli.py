@@ -839,6 +839,28 @@ def test_internal_crash_exits_with_error_code(capsys, monkeypatch):
     assert err == "qmc: internal error: RuntimeError: boom second line\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", str(FIXTURES / "teleport.qts")],
+    ["reach", "--model", str(FIXTURES / "teleport.qts"), "--bogus"],
+    ["check", "--model", str(FIXTURES / "teleport.qts"), "--assert",
+     str(FIXTURES / "teleport.ctql"), "--tol-member", "-inf"],
+], ids=["missing-assert", "unknown-option", "tol-member-spaced-negative"])
+def test_usage_error_exits_as_error(capsys, argv):
+    # 2 is the `unknown` verdict; a mistyped command must not read as one
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert "usage: qmc" in capsys.readouterr().out
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "qmc.cli", "reach",

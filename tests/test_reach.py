@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from qmc import channel as ch
 from qmc import linalg as la
-from qmc import reach
+from qmc import cli, qts, reach
 from qmc.errors import DimensionMismatch
 
-from helpers import (block_unitary_channel, permutation_mixture_channel,
-                     projector, random_channel, random_density,
-                     random_unit_vector, reference_vectorized_reach)
+from helpers import (block_unitary_channel, dephasing_loop_qts,
+                     permutation_mixture_channel, projector, random_channel,
+                     random_density, random_unit_vector,
+                     reference_vectorized_reach)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -339,6 +341,91 @@ class TestFixpointOracle:
             x = la.join([x, reach.image(e, x)])
             dims.append(x.dim)
         assert dims == sorted(dims)
+
+
+class TestComputedTable:
+    """The closed form and the vectorized route read one power sum per
+    chain and state."""
+
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        calls = []
+        apply = ch.apply
+
+        def counting(e, rho):
+            calls.append(e.dim)
+            return apply(e, rho)
+
+        monkeypatch.setattr(ch, "apply", counting)
+        return calls
+
+    def test_both_routes_make_one_sum(self, rng, applies):
+        c = chain_of(random_channel(rng, 3, n_kraus=2))
+        rho = random_density(rng, 8, rank=1)
+        closed = reach.reachable_subspace(c, rho)
+        vectorized = reach.reachable_subspace_vectorized(c, rho)
+        assert len(applies) == 7
+        assert closed.same_space(vectorized)
+
+    def test_reach_verify_makes_one_sum(self, capsys, tmp_path, applies):
+        model = tmp_path / "dephasing4.qts"
+        model.write_text(qts.serialize_model(dephasing_loop_qts(4)))
+        code = cli.main(["reach", "--model", str(model), "--init", "|0000>",
+                         "--verify", "--format", "json"])
+        assert code == cli.EXIT_HOLDS
+        assert json.loads(capsys.readouterr().out)["verify"]["agree"]
+        assert len(applies) == 15
+
+    @staticmethod
+    def _fresh_sum(c, rho):
+        return reach._power_sum(chain_of(c.channel), rho)
+
+    def test_a_hit_is_the_recomputed_sum(self, rng, applies):
+        c = chain_of(random_channel(rng, 2, n_kraus=2))
+        rho = random_density(rng, 4, rank=2)
+        first = reach._power_sum(c, rho)
+        assert reach._power_sum(c, rho.copy()) is first
+        assert len(applies) == 3
+        assert first.tobytes() == self._fresh_sum(c, rho).tobytes()
+
+    def test_another_state_is_summed_again(self, rng, applies):
+        c = chain_of(random_channel(rng, 2, n_kraus=2))
+        rho, sigma = random_density(rng, 4), random_density(rng, 4)
+        reach._power_sum(c, rho)
+        got = reach._power_sum(c, sigma)
+        assert len(applies) == 6
+        assert got.tobytes() == self._fresh_sum(c, sigma).tobytes()
+        # the entry was replaced: rho is summed again too
+        reach._power_sum(c, rho)
+        assert len(applies) == 12
+
+    def test_a_signed_zero_is_another_state(self, applies):
+        c = chain_of(X_CHAIN.channel)
+        rho = pure(KET0)
+        flipped = rho.copy()
+        flipped[0, 1] = complex(-0.0, 0.0)
+        assert np.array_equal(rho, flipped)
+        reach._power_sum(c, rho)
+        got = reach._power_sum(c, flipped)
+        assert len(applies) == 2
+        assert got.tobytes() == self._fresh_sum(c, flipped).tobytes()
+
+    def test_an_edit_in_place_is_another_state(self, rng, applies):
+        c = chain_of(random_channel(rng, 2, n_kraus=2))
+        rho = random_density(rng, 4, rank=1)
+        reach.reachable_subspace(c, rho)
+        rho[...] = random_density(rng, 4, rank=1)
+        after = reach.reachable_subspace_vectorized(c, rho)
+        assert len(applies) == 6
+        assert after.same_space(
+            reach.reachable_subspace_vectorized(chain_of(c.channel), rho))
+
+    def test_the_sum_is_read_only(self, rng):
+        c = chain_of(random_channel(rng, 2, n_kraus=2))
+        held = reach._power_sum(c, random_density(rng, 4))
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0, 0] = 0.0
 
 
 def test_chain_validates_channel():
