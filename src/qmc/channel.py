@@ -92,9 +92,10 @@ class SuperOperator:
             if not np.isfinite(k).all():
                 raise NormalisationViolation(
                     "Kraus operator has a non-finite entry", defect=math.nan)
+        object.__setattr__(self, "kraus", mats)
         # finite entries can still overflow the sum; that is refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            defect = np.eye(d) - sum(k.conj().T @ k for k in mats)
+            defect = np.eye(d) - self._gram
         worst = float(np.abs(defect).max())
         if not math.isfinite(worst):
             raise NormalisationViolation(
@@ -108,10 +109,17 @@ class SuperOperator:
         elif np.linalg.eigvalsh((defect + defect.conj().T) / 2).min() < -TOL_NORM:
             raise NormalisationViolation(
                 "trace-reducing channel exceeds the identity", defect=worst)
-        object.__setattr__(self, "kraus", mats)
         object.__setattr__(self, "_unitary", (
             len(mats) == 1 and self.trace_class is TraceClass.PRESERVING
             and worst <= _UNITARY_DEFECT))
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """sum_i E_i^dagger E_i, read-only: made by the constructor's check
+        and kept for the check of a location with several edges."""
+        gram = sum(k.conj().T @ k for k in self.kraus)
+        gram.setflags(write=False)
+        return gram
 
     @cached_property
     def _stacked(self) -> np.ndarray:

@@ -236,19 +236,20 @@ class QuantumTransitionSystem:
                           is ch.TraceClass.PRESERVING):
                 continue
             # the dense defect is (defect on the qubits the edges touch)
-            # tensor the identity, so its largest entry is found on them
+            # tensor the identity, so its largest entry is found on them, and
+            # lift(E)^dagger lift(E) = lift(E^dagger E): one lift per edge
             span = sorted({q for t in ts for q in t.targets})
             wire = {q: j for j, q in enumerate(span, 1)}
-            kraus = tuple(
-                ch.expand_operator(k, [wire[q] for q in t.targets], len(span))
-                for t in ts for k in t.local.kraus)
-            try:
-                ch.SuperOperator(len(span), kraus)
-            except NormalisationViolation as exc:
+            defect = sum(ch.expand_operator(t.local._gram,
+                                            [wire[q] for q in t.targets],
+                                            len(span)) for t in ts)
+            defect -= np.eye(2 ** len(span))
+            worst = float(np.abs(defect).max())
+            if not worst <= TOL_NORM:
                 raise NormalisationViolation(
                     f"outgoing operators at location {l!r} sum to a map with "
-                    f"normalisation defect {exc.defect:.3e}", location=l,
-                    defect=exc.defect) from None
+                    f"normalisation defect {worst:.3e}", location=l,
+                    defect=worst)
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "transitions", tuple(self.transitions))
         self._out.update(out)

@@ -1,29 +1,32 @@
 """Reachability analysis of quantum Markov chains.
 
-Three interchangeable routes compute the subspace reachable from a state
-under iterated channel application:
+Three routes, which the test suite checks against each other, compute
+the subspace reachable from a state under iterated channel application:
 
-* the closed form: support of the sum S of the first d channel powers,
-* the vectorized route: the left Schmidt vectors of vec(S), which is
-  sum_{i<d} M^i vec(rho) for the matrix representation M; they are S's
-  left singular vectors, so M is never formed,
 * a fixed-point iteration joining in frontier images: the image of only
   the directions the previous round added, until a round adds none.
-
-They must agree as subspaces; the test suite cross-checks all three.
+  `qmc reach` answers with it, as it stops once the space stops growing,
+* the closed form: support of the sum S of the first d channel powers,
+  always d - 1 channel applications; `qmc reach --verify` checks the
+  fixpoint against it,
+* the vectorized route: the left Schmidt vectors of vec(S), which is
+  sum_{i<d} M^i vec(rho) for the matrix representation M; they are S's
+  left singular vectors, so M is never formed.  Reading the closed
+  form's own sum, it checks nothing new and the command line skips it;
+  the benchmark's reach jobs time all three routes.
 
 `image` needs no d x d matrix: the image of a subspace with basis B is
 read off the left singular vectors of the Kraus stack [E_1 B, ..., E_K B]
 (`channel.kraus_images`), cut where the squared singular value falls to
 `rtol` of the largest.  The fixpoint route takes that cut on each
 frontier's image, so relative to the frontier image's largest weight
-rather than the whole image's.  The closed form's sum steps with
-`channel.apply`, which gathers and scales a Kraus set with one
-nonzero entry per row instead of multiplying matrices.
+rather than the whole image's: the one place it can differ from the
+closed form, where `qmc reach` reports the fixpoint's subspace and
+`agree` false.  The closed form's sum steps with `channel.apply`, which
+gathers and scales a Kraus set with one nonzero entry per row.
 
-The closed form and the vectorized route read the same sum, and each
-chain keeps the last one it made (`_power_sum`), so asking both routes
-about one chain and state makes the d - 1 channel applications once.
+Each chain keeps its last sum (`_power_sum`), so the closed form and the
+vectorized route on one state make d - 1 channel applications in all.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import channel as ch
 from . import linalg as la
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidDensityMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +83,8 @@ def _check_state(c: QuantumMarkovChain, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (c.dim, c.dim):
         raise DimensionMismatch(f"state shape {rho.shape} vs dim {c.dim}")
+    if not np.isfinite(rho).all():
+        raise InvalidDensityMatrix("state has a non-finite entry")
     if float(np.trace(rho).real) <= 0.0:
         raise DimensionMismatch("state must have positive trace")
     return rho
@@ -123,10 +128,8 @@ def reachable_subspace(c: QuantumMarkovChain, rho: np.ndarray,
 def reachable_subspace_vectorized(c: QuantumMarkovChain, rho: np.ndarray,
                                   rtol: float = la.TOL_EIG) -> la.Subspace:
     """Vectorized route: the left Schmidt vectors of
-    Phi = sum_{i<d} M^i vec(rho), cut at `rtol` times the largest
-    coefficient.  M vec(X) = vec(E(X)) for M = sum_k E_k (x) conj(E_k), so
-    Phi is vec(S) for the closed form's sum S, whose left singular vectors
-    they are."""
+    sum_{i<d} M^i vec(rho) = vec(S), for M = sum_k E_k (x) conj(E_k), are
+    the closed form's sum S's left singular vectors, cut at `rtol`."""
     return la.Subspace(la.orth_columns(_power_sum(c, rho), rtol))
 
 

@@ -306,15 +306,21 @@ class TestReach:
         assert report["dim"] == 1
         assert report["basis"] == ["|0>"]
 
-    def test_verify_cross_runs(self, capsys):
+    @pytest.mark.parametrize("fixture",
+                             ["xloop", "idloop", "bitflip_loop", "hloop"])
+    def test_verify_cross_runs(self, capsys, fixture):
+        # the fixpoint's basis: the root's direction first
+        basis = ["|0>"] if fixture == "idloop" else ["|0>", "|1>"]
         code, out, _ = run_cli(
-            capsys, "reach", "--model", str(FIXTURES / "bitflip_loop.qts"),
+            capsys, "reach", "--model", str(FIXTURES / f"{fixture}.qts"),
             "--init", "|0>", "--verify", "--format", "json")
+        assert code == cli.EXIT_HOLDS
         report = json.loads(out)
+        assert report["basis"] == basis
         v = report["verify"]
         assert v["agree"] is True
         assert v["max_residual"] < 1e-7
-        assert len(set(v["dims"].values())) == 1
+        assert v["dims"] == {"fixpoint": len(basis), "power_sum": len(basis)}
 
     def test_verify_at_seven_qubits(self, capsys, tmp_path):
         # a cycle through local states 0..4 of qubits 1-3, mixed with the
@@ -334,31 +340,29 @@ class TestReach:
         report = json.loads(out)
         assert report["dim"] == 5
         assert report["verify"]["agree"] is True
-        assert report["verify"]["dims"] == {"power_sum": 5, "vectorized": 5,
-                                            "fixpoint": 5}
+        assert report["verify"]["dims"] == {"fixpoint": 5, "power_sum": 5}
 
-    def test_dephasing_loop_at_seven_qubits(self, capsys, tmp_path):
-        # a bit flip and six ZZ dephasings, every Kraus operator with one
-        # nonzero entry per row: all three routes gather and scale
-        n = 7
-        model = tmp_path / "dephasing7.qts"
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_dephasing_loop_verifies(self, capsys, tmp_path, n):
+        # a bit flip and n - 1 ZZ dephasings, every Kraus operator with one
+        # nonzero entry per row: the closed form gathers and scales; the
+        # fixpoint reports the root's direction first
+        model = tmp_path / f"dephasing{n}.qts"
         model.write_text(qts.serialize_model(dephasing_loop_qts(n)))
         code, out, err = run_cli(
             capsys, "reach", "--model", str(model), "--init", f"|{'0' * n}>",
             "--verify")
         assert code == 0, err
         lines = out.splitlines()
-        assert lines[0] == "reachable dim 2"
-        assert sorted(lines[1:3]) == [f"  |{'0' * n}>",
-                                      f"  |1{'0' * (n - 1)}>"]
-        assert lines[-1] == \
-            "verify: power_sum=2 vectorized=2 fixpoint=2 agree=True"
+        assert lines == ["reachable dim 2", f"  |{'0' * n}>",
+                         f"  |1{'0' * (n - 1)}>",
+                         "verify: fixpoint=2 power_sum=2 agree=True"]
 
     @pytest.mark.parametrize("tol, dim", [(["--tol-eig", "1e-3"], 1),
                                           ([], 2)])
     def test_verify_routes_follow_tol_eig(self, capsys, tmp_path, tol, dim):
         # |0> flips with probability 1e-5 per step: at --tol-eig 1e-3 the
-        # flipped weight falls under the cut on all three routes
+        # flipped weight falls under the cut on both routes
         eps = 1e-5
         kraus = (math.sqrt(1 - eps) * np.eye(2), math.sqrt(eps) * ch.PAULI_X)
         loop = qts.kraus_edge("l0", "l0", kraus, (1,), 1)
@@ -368,7 +372,7 @@ class TestReach:
         code, out, err = run_cli(capsys, "reach", "--model", str(model),
                                  "--init", "|0>", "--verify", *tol)
         assert code == 0, err
-        assert f"power_sum={dim} vectorized={dim} fixpoint={dim} " in out
+        assert f"fixpoint={dim} power_sum={dim} " in out
         assert "agree=True" in out
 
     def test_verify_text_prints_the_residual_only_on_disagreement(
@@ -379,7 +383,7 @@ class TestReach:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.splitlines()[-1] == \
-            "verify: power_sum=2 vectorized=2 fixpoint=2 agree=True"
+            "verify: fixpoint=2 power_sum=2 agree=True"
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert 0.0 <= json.loads(out)["verify"]["max_residual"] < 1e-7
         # no residual is within a membership tolerance of 1e-300
@@ -387,7 +391,7 @@ class TestReach:
         assert code == 0
         line = out.splitlines()[-1]
         assert line.startswith(
-            "verify: power_sum=2 vectorized=2 fixpoint=2 max_residual=")
+            "verify: fixpoint=2 power_sum=2 max_residual=")
         assert line.endswith(" agree=False")
 
     def test_lifted_channel_is_held_without_a_second_check(self,

@@ -549,9 +549,10 @@ class TestSharedChannels:
         # a projector is keyed by its target count and outcome
         assert m0.local is n0.local and m1.local is n1.local
         assert m0.local is not m1.local
-        # CX, RZ(0.0), RZ(-0.0), two projectors and the literal, and the
-        # sums of locations e and f (11 at one channel per edge)
-        assert len(built) == 8
+        # CX, RZ(0.0), RZ(-0.0), two projectors and the literal (9 at one
+        # channel per edge); the sums of locations e and f lift the edges'
+        # Gram sums and build no channel
+        assert len(built) == 6
         assert qts.parse_model(_SHARED_MODEL).transitions[0].local \
             is not cx1.local
 
@@ -704,7 +705,8 @@ class TestOneCheckPerRule:
     def test_each_location_sums_its_kraus_set_once(self, monkeypatch):
         # a location whose one outgoing edge is trace preserving was
         # checked when that edge's channel was built, so only the location
-        # with two edges builds a channel of its own
+        # with two edges is checked again, and it builds no channel: it
+        # lifts each edge's Gram sum, which that edge's check made
         edges = [qts.gate_edge("a", "b", "H", (1,), 2),
                  qts.kraus_edge("b", "c", [np.sqrt(0.5) * np.eye(2),
                                            np.sqrt(0.5) * ch.PAULI_X],
@@ -720,9 +722,46 @@ class TestOneCheckPerRule:
                 built.append(len(self.kraus))
                 super().__post_init__()
 
+        lifted = []
+        expand = ch.expand_operator
+
+        def counting_expand(op, targets, total):
+            lifted.append(op)
+            return expand(op, targets, total)
+
         monkeypatch.setattr(ch, "SuperOperator", Counting)
+        monkeypatch.setattr(ch, "expand_operator", counting_expand)
         qts.QuantumTransitionSystem(2, tuple("abcde"), "a", tuple(edges))
-        assert built == [2]
+        assert built == []
+        assert len(lifted) == 2
+        assert lifted[0] is edges[2].local._gram
+        assert lifted[1] is edges[3].local._gram
+
+    def test_location_defect_is_the_dense_lifted_defect(self, rng):
+        # each edge's Gram sum lifted to the qubits the location's edges
+        # touch, against every Kraus operator lifted to the whole register
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            edges = []
+            for _ in range(int(rng.integers(2, 5))):
+                width = int(rng.integers(1, n + 1))
+                targets = tuple(int(q) for q in
+                                rng.permutation(np.arange(1, n + 1))[:width])
+                d = 2 ** width
+                gs = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                      for _ in range(int(rng.integers(1, 4)))]
+                top = np.linalg.eigvalsh(sum(g.conj().T @ g for g in gs))[-1]
+                scale = math.sqrt(rng.uniform(0.1, 0.9) / top)
+                edges.append(qts.kraus_edge("a", "a", [scale * g for g in gs],
+                                            targets, n))
+            lifted = [ch.expand_operator(k, t.targets, n)
+                      for t in edges for k in t.local.kraus]
+            want = float(np.abs(
+                np.eye(2 ** n) - sum(k.conj().T @ k for k in lifted)).max())
+            with pytest.raises(NormalisationViolation) as info:
+                qts.QuantumTransitionSystem(n, ("a",), "a", tuple(edges))
+            assert abs(info.value.defect - want) <= \
+                4 * np.finfo(float).eps * max(want, 1.0)
 
     def test_a_lone_reducing_edge_is_refused_at_its_location(self):
         edge = qts.measure_edge("a", "b", (1,), 0, 1)

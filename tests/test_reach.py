@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qmc import channel as ch
 from qmc import linalg as la
 from qmc import cli, qts, reach
-from qmc.errors import DimensionMismatch
+from qmc.errors import DimensionMismatch, InvalidDensityMatrix
 
 from helpers import (block_unitary_channel, dephasing_loop_qts,
                      permutation_mixture_channel, projector, random_channel,
@@ -368,13 +369,18 @@ class TestComputedTable:
         assert closed.same_space(vectorized)
 
     def test_reach_verify_makes_one_sum(self, capsys, tmp_path, applies):
+        # `qmc reach` answers by frontier images, with no channel
+        # application; --verify adds the closed form's d - 1
         model = tmp_path / "dephasing4.qts"
         model.write_text(qts.serialize_model(dephasing_loop_qts(4)))
-        code = cli.main(["reach", "--model", str(model), "--init", "|0000>",
-                         "--verify", "--format", "json"])
-        assert code == cli.EXIT_HOLDS
+        argv = ["reach", "--model", str(model), "--init", "|0000>",
+                "--format", "json"]
+        assert cli.main(argv) == cli.EXIT_HOLDS
+        assert json.loads(capsys.readouterr().out)["dim"] == 2
+        assert applies == []
+        assert cli.main(argv + ["--verify"]) == cli.EXIT_HOLDS
         assert json.loads(capsys.readouterr().out)["verify"]["agree"]
-        assert len(applies) == 15
+        assert applies == [16] * 15
 
     @staticmethod
     def _fresh_sum(c, rho):
@@ -440,3 +446,16 @@ def test_chain_validates_channel():
 def test_rejects_zero_state():
     with pytest.raises(DimensionMismatch):
         reach.reachable_subspace(ID_CHAIN, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("route", [reach.reachable_subspace,
+                                   reach.reachable_subspace_vectorized,
+                                   reach.reachable_fixpoint_oracle])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_a_non_finite_state(route, bad):
+    # refused before any route reads it: no warning, no LinAlgError
+    rho = np.diag([bad, 1.0]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+            route(chain_of(ID_CHAIN.channel), rho)
