@@ -70,8 +70,9 @@ class SuperOperator:
     shape plain `DimensionMismatch`.
 
     The same check decides `_unitary`: one Kraus operator E with no entry
-    of E^dagger E - I above `_UNITARY_DEFECT`.  A channel is immutable, so
-    the transitions of one model that apply the same gate share one."""
+    of E^dagger E - I above `_UNITARY_DEFECT`; `_identity` narrows it to
+    E = I exactly.  A channel is immutable, so the transitions of one
+    model that apply the same gate share one."""
 
     n_qubits: int
     kraus: tuple
@@ -112,6 +113,14 @@ class SuperOperator:
         object.__setattr__(self, "_unitary", (
             len(mats) == 1 and self.trace_class is TraceClass.PRESERVING
             and worst <= _UNITARY_DEFECT))
+
+    @cached_property
+    def _identity(self) -> bool:
+        """Whether the channel is one Kraus operator equal to the identity
+        entry for entry, so that it maps every state to itself; decided on
+        first read and kept."""
+        return self._unitary and bool(
+            (self.kraus[0] == np.eye(self.dim)).all())
 
     @cached_property
     def _gram(self) -> np.ndarray:

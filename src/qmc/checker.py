@@ -54,7 +54,7 @@ from . import linalg as la
 from . import logic as lg
 from . import qts as q
 from .errors import NoTraceAvailable, UnboundAtom, UnknownLocation
-from .linalg import TOL_FP
+from .linalg import TOL_FP, _abs2
 
 FP_DECIMALS = 7     # fingerprint rounding, decimal places
 SKETCH_PROBES = 16  # columns of the digest's probe block, at most d
@@ -176,11 +176,6 @@ def _key(factor: np.ndarray, v: np.ndarray) -> float:
 _UNIT = np.finfo(float).eps / 2  # unit roundoff of a float64 operation
 
 
-def _abs2(m: np.ndarray) -> np.ndarray:
-    """|m_ij|^2 for each entry of a complex array."""
-    return m.real ** 2 + m.imag ** 2
-
-
 def _within_tol(a: np.ndarray, spectrum) -> bool:
     """Whether max |A A^dagger - B B^dagger| <= TOL_FP, for a node's factor
     A and a successor's spectrum (Q, lambda), B = Q sqrt(lambda): the
@@ -262,7 +257,13 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0,
     v, and the exact check picks the lowest-indexed match.  That check is
     certified from the factors in O(d r^2) and falls back to a blockwise
     O(d^2 r) pass only within a rounding margin of TOL_FP (`_within_tol`);
-    its decisions, and so the graph, are the blockwise pass's."""
+    its decisions, and so the graph, are the blockwise pass's.
+
+    An identity self-loop, whose successor `qts.step` returns as the node's
+    own configuration, is the edge to the node itself with probability 1,
+    with no key and no check.  That is where the rule above sends an
+    exact image of the node: every lower-indexed node at its location was
+    refused against this same spectrum when the node was made."""
     if isinstance(rho0, q.Configuration):
         root = rho0
         if root.location != sys.initial:
@@ -283,6 +284,9 @@ def build_graph(sys: q.QuantumTransitionSystem, rho0,
         for index in frontier:
             edges = []
             for succ, p in q.step(sys, nodes[index].config):
+                if succ is nodes[index].config:  # an identity self-loop
+                    edges.append((index, p))
+                    continue
                 factor = succ.factor
                 k = _key(factor, v)
                 near = keys.setdefault(succ.location, [])

@@ -59,10 +59,18 @@ def row_blocks(n_rows: int, row_len: int):
 
 def _gram_defect(vecs: np.ndarray) -> float:
     """The largest entry of |vecs^dagger vecs - I|: 0 for orthonormal
-    columns, NaN or inf for a non-finite entry, without a warning."""
+    columns, NaN or inf for a non-finite entry, without a warning.  1 is
+    subtracted from the diagonal in place, which rounds as subtracting
+    the identity matrix does."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = vecs.conj().T @ vecs
-    return float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+        gram.flat[::len(gram) + 1] -= 1.0
+    return float(np.abs(gram).max(initial=0.0))
+
+
+def _abs2(m: np.ndarray) -> np.ndarray:
+    """|m_ij|^2 for each entry of a complex array."""
+    return m.real ** 2 + m.imag ** 2
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

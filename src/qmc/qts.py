@@ -13,16 +13,20 @@ and the tests; nothing on the parse -> build -> check path builds it.
 
 A configuration holds nothing but its state's spectral factor (U,
 lambda), state = U diag(lambda) U^dagger: O(d r) numbers for a rank-r
-state.  Stepping maps the factor through the Kraus operators; a unitary
-edge maps U to the orthonormal E U and keeps lambda, and any other edge
-takes one thin SVD of the mapped factor (see `step`).  Every factor passes
-one Gram check as its configuration is made.  Only a configuration built
-from a dense state needs an eigendecomposition, of the rows and columns
-its state occupies (its live block).  One pass over the dense state finds that block, and every other
-check reads the block alone, so a dense |0...0><0...0| root costs one
-pass and a 1 x 1 `eigh`.  The checker reads every node's support and
-trace digest straight from the factor.  The dense state is rebuilt only
-when it is read, and nothing on the check path reads it.
+state.  Stepping maps the factor through the Kraus operators and
+decomposes nothing the edge's structure already answers (see `step`): an
+identity edge keeps the source's factor, a unitary edge maps U to the
+orthonormal E U and keeps lambda, an edge whose Kraus images are
+orthogonal keeps them, normalised, and only any other edge takes one
+thin SVD of the mapped factor.  Every factor passes one Gram check as
+its configuration is made.  Only a configuration built from a dense
+state needs an eigendecomposition, of the rows and columns its state
+occupies (its live block).  One pass over the dense state finds that
+block, and every other check reads the block alone, so a dense
+|0...0><0...0| root costs one pass and a 1 x 1 `eigh`.  The checker
+reads every node's support and trace digest straight from the factor.
+The dense state is rebuilt only when it is read, and nothing on the
+check path reads it.
 
 The edge constructors `gate_edge`, `kraus_edge` and `measure_edge` are
 the one place a transition is validated: `channel.check_targets` checks
@@ -58,7 +62,7 @@ from .errors import (BadParameter, DimensionMismatch, InvalidDensityMatrix,
                      QmcError, UnknownLocation)
 from .linalg import (TOL_EIG, TOL_HERM, TOL_HERM_STATE, TOL_NORM,
                      TOL_ORTHO, TOL_PROB, TOL_PROB_EXCESS, Subspace,
-                     _gram_defect, hermitian_part, row_blocks,
+                     _abs2, _gram_defect, hermitian_part, row_blocks,
                      spectral_support)
 from .parsing import (EOF, IDENT, NUMBER, TokenStream, format_complex,
                       parse_matrix, parse_text)
@@ -436,6 +440,50 @@ def _apply_local(t: Transition, factor: np.ndarray) -> np.ndarray:
     return out.reshape((-1,) + f.shape).transpose(back).reshape(2 ** n, -1)
 
 
+def _descending(weights: np.ndarray) -> np.ndarray:
+    """The indices of `weights` in descending order of weight, ties in
+    index order, without those at or below _SPECTRUM_FLOOR times the
+    largest."""
+    order = np.argsort(-weights, kind="stable")
+    return order[weights[order] > _SPECTRUM_FLOOR * weights[order[0]]]
+
+
+def _column_factor(stack: np.ndarray, p: float):
+    """The spectral factor of S S^dagger / p read from the stack S's own
+    columns, with its Gram defect, or None.
+
+    The columns are taken in descending order of their squared norm, the
+    diagonal of G = S^dagger S; those at or below _SPECTRUM_FLOOR times
+    the largest are dropped, and each is divided by its norm, with the
+    squared norms over p as the eigenvalues.  This is S S^dagger / p
+    exactly when the columns are orthogonal, and it is kept when the
+    Gram matrix of the normalised columns, G scaled by their norms, is
+    within _UNITARY_DRIFT of the identity in every entry.
+
+    Otherwise, when every column has at most one nonzero entry, the
+    columns are scaled basis vectors, some of them parallel, and
+    S S^dagger is diagonal: its factor is the basis vectors of the rows,
+    weighted by the rows' squared norms, with Gram defect 0."""
+    gram = stack.conj().T @ stack
+    weights = gram.diagonal().real
+    order = _descending(weights)
+    norms = np.sqrt(weights[order])
+    cos = gram[order][:, order] / np.outer(norms, norms)
+    cos.flat[::len(cos) + 1] -= 1.0
+    defect = float(np.abs(cos).max())
+    if defect <= _UNITARY_DRIFT:
+        vecs = stack[:, order]
+        vecs /= norms
+        return vecs, weights[order] / p, defect
+    if np.count_nonzero(stack, axis=0).max() > 1:
+        return None
+    weights = _abs2(stack).sum(axis=1)
+    order = _descending(weights)
+    vecs = np.zeros((len(stack), len(order)), dtype=complex)
+    vecs[order, np.arange(len(order))] = 1.0
+    return vecs, weights[order] / p, 0.0
+
+
 def step(sys: QuantumTransitionSystem, config: Configuration):
     """One transition step: every outgoing branch with probability above
     TOL_PROB, as (successor configuration, branch probability) pairs.  The
@@ -445,27 +493,45 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
     so a branch probability, or a product, above 1 + TOL_PROB_EXCESS is
     returned, or carried, as 1.
 
-    With L = U sqrt(lambda) the configuration's factor, a branch's
-    unnormalised state is S S^dagger for the stack S = [E_1 L, ..., E_K L];
-    its probability is p = |S|_F^2.  Each E_k L contracts only the target
-    axes of L (see `_apply_local`), so a step touches O(K d r 2^t) data and
-    builds no d x d matrix.  The successor's spectral factor, which is all
-    it holds, comes one of two ways:
+    An identity edge (`SuperOperator._identity`) maps nothing.  Its branch
+    has probability exactly 1; on a self-loop the successor is `config`
+    itself, and on an edge to another location a configuration there
+    that holds `config`'s read-only factor, checked when it was made.
+
+    On any other edge, with L = U sqrt(lambda) the configuration's factor,
+    a branch's unnormalised state is S S^dagger for the stack
+    S = [E_1 L, ..., E_K L]; its probability is p = |S|_F^2.  Each E_k L
+    contracts only the target axes of L (see `_apply_local`), so a step
+    touches O(K d r 2^t) data and builds no d x d matrix.  The successor's
+    spectral factor, which is all it holds, comes one of three ways:
 
     * on a unitary edge (`SuperOperator._unitary`) S = E U sqrt(lambda),
       and E U is orthonormal, so the factor is (S / sqrt(lambda),
       lambda / p), with no decomposition.  Rounding lets its Gram defect
       grow by about an ulp a step; a successor whose defect exceeds
-      _UNITARY_DRIFT takes the other way instead, so drift is reset long
+      _UNITARY_DRIFT takes the SVD instead, so drift is reset long
       before it nears TOL_ORTHO;
-    * on any other edge, one thin SVD of S, dropping eigenvalues at or
-      below _SPECTRUM_FLOOR times the largest as float noise."""
+    * on any other edge, S's own columns, normalised, when their Gram
+      defect is within the same _UNITARY_DRIFT, or the rows' basis
+      vectors when every column is a scaled basis vector
+      (`_column_factor`): the Kraus images are orthogonal, or parallel
+      basis vectors, when computational projectors and Pauli noise act
+      on a mixture of basis states;
+    * otherwise one thin SVD of S, dropping eigenvalues at or below
+      _SPECTRUM_FLOOR times the largest as float noise."""
     transitions = sys.outgoing(config.location)
     vecs, vals = config.spectrum
     root = np.sqrt(vals)
     factor = vecs * root  # `config.factor`
     results = []
     for t in transitions:
+        if t.local._identity:
+            succ = config
+            if t.post != config.location:
+                succ = object.__new__(Configuration)
+                succ._init(t.post, config.probability, vecs, vals)
+            results.append((succ, 1.0))
+            continue
         stack = _apply_local(t, factor)
         p = float(np.vdot(stack, stack).real)
         if not p > TOL_PROB:
@@ -473,19 +539,20 @@ def step(sys: QuantumTransitionSystem, config: Configuration):
         carried = config.probability * p
         if carried > 1.0 + TOL_PROB_EXCESS:
             carried = 1.0
-        succ = None
         if t.local._unitary:
             mapped = stack / root
-            defect = _gram_defect(mapped)
-            if defect <= _UNITARY_DRIFT:
-                succ = Configuration._factored(t.post, mapped, vals / p,
-                                               carried, defect)
-        if succ is None:
+            found = mapped, vals / p, _gram_defect(mapped)
+            if not found[2] <= _UNITARY_DRIFT:
+                found = None
+        else:
+            found = _column_factor(stack, p)
+        if found is None:
             u, s, _ = np.linalg.svd(stack, full_matrices=False)
             lam = s * s / p
             keep = lam > _SPECTRUM_FLOOR * lam[0]
-            succ = Configuration.from_factor(t.post, u[:, keep], lam[keep],
-                                             carried)
+            found = u[:, keep], lam[keep], _gram_defect(u[:, keep])
+        u, lam, defect = found
+        succ = Configuration._factored(t.post, u, lam, carried, defect)
         results.append((succ, 1.0 if p > 1.0 + TOL_PROB_EXCESS else p))
     return results
 

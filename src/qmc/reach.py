@@ -6,6 +6,8 @@ the subspace reachable from a state under iterated channel application:
 * a fixed-point iteration joining in frontier images: the image of only
   the directions the previous round added, until a round adds none.
   `qmc reach` answers with it, as it stops once the space stops growing,
+  from the root configuration's own factor, so a ket root is never made
+  dense or decomposed,
 * the closed form: support of the sum S of the first d channel powers,
   always d - 1 channel applications; `qmc reach --verify` checks the
   fixpoint against it,
@@ -37,6 +39,7 @@ import numpy as np
 
 from . import channel as ch
 from . import linalg as la
+from . import qts
 from .errors import DimensionMismatch, InvalidDensityMatrix
 
 
@@ -133,14 +136,19 @@ def reachable_subspace_vectorized(c: QuantumMarkovChain, rho: np.ndarray,
     return la.Subspace(la.orth_columns(_power_sum(c, rho), rtol))
 
 
-def reachable_fixpoint_oracle(c: QuantumMarkovChain, rho: np.ndarray,
+def reachable_fixpoint_oracle(c: QuantumMarkovChain, rho,
                               rtol: float = la.TOL_EIG) -> la.Subspace:
     """Fixed-point route: start from supp(rho) and join in images until a
-    round adds nothing (at most d rounds).  Each round takes the image of
-    only the directions the previous one added, its frontier: with X_i
-    the held space and N_i the directions added to it,
-    image(X_i) = image(X_{i-1}) + image(N_i) and image(X_{i-1}) lies in
-    X_i, so X_i + image(N_i) is the join X_i + image(X_i).  The frontier's
+    round adds nothing (at most d rounds).  `rho` is a dense state, whose
+    support takes one `eigh`, or a `qts.Configuration`, whose support is
+    read from its spectral factor (`Configuration.support`) with no
+    decomposition.
+
+    Each round takes the image of only the directions the previous one
+    added, its frontier: with X_i the held space and N_i the directions
+    added to it, image(X_i) = image(X_{i-1}) + image(N_i) and
+    image(X_{i-1}) lies in X_i, so X_i + image(N_i) is the join
+    X_i + image(X_i).  The frontier's
     image is projected off the held basis twice (classical Gram-Schmidt
     with one reorthogonalization), and a residual direction joins it when
     its singular value exceeds `la.TOL_EIG`, the rank cut `la.join`
@@ -149,8 +157,13 @@ def reachable_fixpoint_oracle(c: QuantumMarkovChain, rho: np.ndarray,
     The one difference from joining whole images is that the `rtol` cut
     of `image` is taken relative to the frontier image's largest weight,
     not the whole image's."""
-    rho = _check_state(c, rho)
-    new = la.support(rho, rtol)
+    if isinstance(rho, qts.Configuration):
+        if len(rho.spectrum[0]) != c.dim:
+            raise DimensionMismatch(
+                f"state dim {len(rho.spectrum[0])} vs dim {c.dim}")
+        new = rho.support(rtol)
+    else:
+        new = la.support(_check_state(c, rho), rtol)
     held = new.basis
     while new.dim and held.shape[1] < c.dim:
         img = image(c.channel, new, rtol).basis

@@ -25,3 +25,17 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The arrays passed to np.linalg.svd during the test, in order."""
+    svd = np.linalg.svd
+    calls = []
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return calls

@@ -1,4 +1,5 @@
 import pathlib
+import runpy
 import tracemalloc
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmc import channel as ch
-from qmc import checker
+from qmc import checker, cli
 from qmc import linalg as la
 from qmc import logic as lg
 from qmc import qts
@@ -669,9 +670,17 @@ class TestCertifiedMerge:
         assert len(calls) == 1
 
     def test_ghz_noisy_never_reaches_the_blockwise_check(self, monkeypatch):
-        # n = 10, from the rank-1 root the CLI builds for |0...0>: the
-        # terminal self-loop merges, and every merge is certified
-        system, _ = _ghz_noisy(10)
+        # n = 10, from the rank-1 root the CLI builds for |0...0>, with the
+        # terminal identity loop replaced by two Z[1] steps: the second
+        # returns to the terminal state, which merges, and every merge is
+        # certified
+        compiled, _ = _ghz_noisy(10)
+        (leaf,) = [t.pre for t in compiled.transitions if t.pre == t.post]
+        system = qts.QuantumTransitionSystem(
+            10, compiled.locations + ("z",), compiled.initial,
+            tuple(t for t in compiled.transitions if t.pre != t.post) + (
+                qts.gate_edge(leaf, "z", "Z", (1,), 10),
+                qts.gate_edge("z", leaf, "Z", (1,), 10)))
         d = 2 ** 10
         root = qts.Configuration.from_factor(
             system.initial, np.eye(d, 1, dtype=complex), np.ones(1))
@@ -688,7 +697,118 @@ class TestCertifiedMerge:
         assert True in confirms
         assert fallbacks == []
         last = graph.nodes[-1]
-        assert [t for t, _ in last.out] == [last.index]
+        assert last.config.location == "z"
+        assert graph.nodes[last.index - 1].config.location == leaf
+        assert [t for t, _ in last.out] == [last.index - 1]
+
+
+def _benchmark_jobs(workload, seed):
+    """The jobs perfbench/workloads.py generates for the benchmark."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["generate"](workload, seed)
+
+
+class TestBenchmarkJobCounts:
+    """The decompositions and merge checks `build_graph` makes on the
+    gated benchmark's check jobs, from the root the CLI builds: a qec-
+    branching job takes at most one thin SVD and no merge check, a
+    ghz-noisy job neither.  Counts, not times, so they are exact."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    @pytest.mark.parametrize("workload, svds", [("qec-branching", 1),
+                                                ("ghz-noisy", 0)])
+    def test_counts(self, workload, svds, seed, svd_calls, monkeypatch):
+        within = []
+        monkeypatch.setattr(checker, "_within_tol",
+                            lambda *a: within.append(a))
+        for job in _benchmark_jobs(workload, seed):
+            system = qts.parse_model(job.model)
+            root = cli._load_init(cli.RunConfig(model="", init=job.init),
+                                  system)
+            svd_calls.clear()
+            checker.build_graph(system, root, job.bound)
+            assert len(svd_calls) <= svds
+            assert within == []
+
+
+class TestIdentityEdges:
+    """An identity edge maps no state: `step` returns the source's own
+    configuration on a self-loop, or its read-only factor at another
+    location, with probability exactly 1, and `build_graph` records a
+    self-loop with no key and no merge check.  The graph must be the one
+    the build makes with the shortcut turned off."""
+
+    def test_self_loop_maps_nothing_and_checks_nothing(self, rng,
+                                                       monkeypatch):
+        system = qts.parse_model("qubits 3\nlocations l0\ninitial l0\n"
+                                 "transitions\n  l0 -> l0 : gate I[2]\n")
+        calls = []
+        monkeypatch.setattr(qts, "_apply_local",
+                            lambda *a: calls.append("apply"))
+        monkeypatch.setattr(checker, "_within_tol",
+                            lambda *a: calls.append("within"))
+        graph = checker.build_graph(system, random_density(rng, 8, 3))
+        assert calls == []
+        assert len(graph.nodes) == 1
+        assert graph.nodes[0].out == ((0, 1.0),)
+        assert graph.closure == checker.COMPLETE
+
+    def test_self_loop_carries_probability_exactly_one(self, rng):
+        # the root's trace is 1 - 5e-10, which TOL_NORM admits; the mapped
+        # branch would report that trace, the identity edge reports 1
+        system = loop_qts(ch.SuperOperator.unitary(np.eye(4)))
+        root = qts.Configuration.from_factor(
+            "l0", random_unitary(rng, 4)[:, :2],
+            np.array([0.6, 0.4 - 5e-10]), probability=0.25)
+        ((succ, p),) = qts.step(system, root)
+        assert succ is root
+        assert p == 1.0
+        assert succ.probability == 0.25
+
+    def test_edge_to_another_location_shares_the_factor(self, rng):
+        system = qts.parse_model(
+            "qubits 2\nlocations l0 l1\ninitial l0\ntransitions\n"
+            "  l0 -> l1 : gate I[2]\n  l1 -> l1 : gate X[1]\n")
+        root = qts.Configuration("l0", random_density(rng, 4, 2))
+        ((succ, p),) = qts.step(system, root)
+        assert p == 1.0
+        assert succ.location == "l1"
+        assert succ.probability == root.probability
+        for got, held in zip(succ.spectrum, root.spectrum):
+            assert got is held
+            assert not got.flags.writeable
+        # it then goes through the key and the merge check as usual: the
+        # second X returns to the identity edge's successor
+        graph = checker.build_graph(system, root)
+        assert [(n.config.location, [t for t, _ in n.out])
+                for n in graph.nodes] == [("l0", [1]), ("l1", [2]),
+                                          ("l1", [1])]
+        assert graph.nodes[0].out == ((1, 1.0),)
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.qts")),
+                             ids=lambda p: p.stem)
+    def test_graph_matches_the_build_without_the_shortcut(self, path):
+        system = qts.parse_model(path.read_text())
+        n = system.n_qubits
+        d = 2 ** n
+        ghz = np.zeros(d, dtype=complex)
+        ghz[[0, d - 1]] = 1 / np.sqrt(2)
+        for vec in (np.eye(d)[0], np.eye(d)[d - 1], ghz):
+            root = qts.Configuration.from_factor(
+                system.initial, vec.astype(complex)[:, None], np.ones(1))
+            fast = checker.build_graph(system, root)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ch.SuperOperator, "_identity",
+                           property(lambda self: False))
+                slow = checker.build_graph(system, root)
+            assert fast.closure == slow.closure
+            assert len(fast.nodes) == len(slow.nodes)
+            for a, b in zip(fast.nodes, slow.nodes):
+                assert (a.config.location, a.depth, a.digest) == \
+                    (b.config.location, b.depth, b.digest)
+                assert [t for t, _ in a.out] == [t for t, _ in b.out]
+                for (_, pa), (_, pb) in zip(a.out, b.out):
+                    assert abs(pa - pb) <= 1e-14
 
 
 class TestFactorOnlyNodes:

@@ -358,6 +358,29 @@ class TestReach:
                          f"  |1{'0' * (n - 1)}>",
                          "verify: fixpoint=2 power_sum=2 agree=True"]
 
+    def test_a_ket_root_is_not_made_dense(self, capsys, tmp_path,
+                                          eigh_calls):
+        # n = 9: the fixpoint starts from the ket's rank-1 factor, so
+        # without --verify no 512 x 512 matrix is decomposed
+        n = 9
+        model = tmp_path / "dephasing9.qts"
+        model.write_text(qts.serialize_model(dephasing_loop_qts(n)))
+        code, out, err = run_cli(capsys, "reach", "--model", str(model),
+                                 "--init", f"|{'0' * n}>")
+        assert code == 0, err
+        assert all(len(a) < 2 ** n for a in eigh_calls)
+        assert out.splitlines() == ["reachable dim 2", f"  |{'0' * n}>",
+                                    f"  |1{'0' * (n - 1)}>"]
+
+    def test_printed_root_keeps_the_phase_of_its_ket(self, capsys):
+        code, out, err = run_cli(
+            capsys, "reach", "--model", str(FIXTURES / "idloop.qts"),
+            "--init=-0.6|0> + 0.8i|1>", "--verify")
+        assert code == 0, err
+        assert out.splitlines() == ["reachable dim 1", "  -0.6|0> + 0.8i|1>",
+                                    "verify: fixpoint=1 power_sum=1 "
+                                    "agree=True"]
+
     @pytest.mark.parametrize("tol, dim", [(["--tol-eig", "1e-3"], 1),
                                           ([], 2)])
     def test_verify_routes_follow_tol_eig(self, capsys, tmp_path, tol, dim):

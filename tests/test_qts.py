@@ -362,6 +362,34 @@ class TestFactoredStep:
         assert np.abs(succ.state - dense_step(system, config)[0][0].state
                       ).max() <= 1e-12
 
+    def test_measured_steps_do_not_drift(self, rng, svd_calls):
+        # 20 000 steps alternating RY on qubit 1 and the outcome-0 branch
+        # of a measurement of qubit 2, which holds |0>, from a rank-2
+        # factor: the unitary steps keep their mapped columns and the
+        # projector steps divide the stack's own columns by their norms,
+        # which resets the drift, so the Gram defect never exceeds 1e-12
+        theta = 2 * math.pi / 4096
+        system = qts.parse_model(
+            "qubits 2\nlocations l0 l1 l2\ninitial l0\ntransitions\n"
+            f"  l0 -> l1 : gate RY({theta!r})[1]\n"
+            "  l1 -> l0 : measure M[2] = 0\n"
+            "  l1 -> l2 : measure M[2] = 1\n  l2 -> l2 : gate I[1]\n")
+        vecs = np.zeros((4, 2), dtype=complex)
+        vecs[:2] = random_unitary(rng, 2)
+        config = first = qts.Configuration.from_factor(
+            "l0", vecs, np.array([0.7, 0.3]))
+        worst = 0.0
+        for _ in range(20000):
+            (config, p), = qts.step(system, config)
+            worst = max(worst, qts._gram_defect(config.spectrum[0]))
+        assert worst <= 1e-12
+        assert len(svd_calls) <= 20
+        assert config.location == "l0"
+        assert config.spectrum[0].shape == (4, 2)
+        turn = np.kron(np.eye(2), ch.gate_matrix("RY", 10000 * theta))
+        assert np.abs(config.state - turn @ first.state @ turn.conj().T
+                      ).max() <= 1e-9
+
     @pytest.mark.parametrize("seed", range(4))
     def test_plan_matches_tensordot_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
@@ -463,6 +491,119 @@ class TestFactoredStep:
         rho[0, 1] = 1e-7
         with pytest.raises(InvalidDensityMatrix, match="not Hermitian"):
             qts.Configuration("l0", rho)
+
+
+def basis_circuit(rng, n_qubits, depth):
+    """Random dynamic circuit of Pauli and permutation gates, Pauli flip
+    noises and single-qubit measurements: each Kraus operator maps a basis
+    state to a scaled basis state."""
+    q = int(rng.integers(1, n_qubits + 1))
+    if depth <= 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.35:
+            return qts.Gate((q,), name=str(rng.choice(["X", "Y", "Z"])))
+        if roll < 0.6 and n_qubits >= 2:
+            wires = rng.choice(range(1, n_qubits + 1), size=2, replace=False)
+            return qts.Gate(tuple(int(w) for w in wires),
+                            name=str(rng.choice(["CX", "SWAP"])))
+        return qts.Gate((q,), op=ch.noise_library(
+            str(rng.choice(["bit_flip", "phase_flip", "bit_phase_flip"])),
+            float(rng.random())))
+    if rng.random() < 0.6:
+        return qts.Seq(basis_circuit(rng, n_qubits, depth - 1),
+                       basis_circuit(rng, n_qubits, depth - 1))
+    return qts.Cond(ch.computational_measurement(1), (q,), {
+        0: basis_circuit(rng, n_qubits, depth - 1),
+        1: basis_circuit(rng, n_qubits, depth - 1)})
+
+
+class TestColumnRoute:
+    """A non-unitary edge whose Kraus images are orthogonal, or are scaled
+    basis vectors, builds its successor from the stack's own columns with
+    no SVD; any other edge takes the SVD.  Either way the successor must
+    be the dense channel application's."""
+
+    @staticmethod
+    def basis_system(rng, n_qubits):
+        # the terminal identity loops become flip noise on a random qubit
+        system = qts.compile_circuit(basis_circuit(rng, n_qubits, 5),
+                                     n_qubits)
+        transitions = [
+            t if t.pre != t.post else qts.kraus_edge(
+                t.pre, t.post, ch.noise_library(
+                    str(rng.choice(["bit_flip", "phase_flip"])),
+                    float(rng.random())).kraus,
+                (int(rng.integers(1, n_qubits + 1)),), n_qubits)
+            for t in system.transitions]
+        return qts.QuantumTransitionSystem(n_qubits, system.locations,
+                                           system.initial,
+                                           tuple(transitions))
+
+    @staticmethod
+    def basis_roots(rng, location, d):
+        # a mixture of basis states, decomposed from its dense state, and
+        # the same held as phased basis columns
+        rank = int(rng.integers(1, min(d, 4) + 1))
+        idx = rng.choice(d, size=rank, replace=False)
+        weights = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
+        rho = np.zeros((d, d), dtype=complex)
+        rho[idx, idx] = weights
+        phases = np.exp(2j * np.pi * rng.random(rank))
+        return [qts.Configuration(location, rho),
+                qts.Configuration.from_factor(
+                    location, np.eye(d, dtype=complex)[:, idx] * phases,
+                    weights)]
+
+    @staticmethod
+    def assert_matches_dense(system, config, got):
+        want = dense_step(system, config)
+        assert [s.location for s, _ in got] == [s.location for s, _ in want]
+        for (a, pa), (b, pb) in zip(got, want):
+            assert abs(pa - pb) <= 1e-12
+            assert abs(a.probability - b.probability) <= 1e-12
+            assert np.abs(a.state - b.state).max() <= 1e-12
+            for tol in (1e-12, 1e-8, 1e-4):
+                assert a.support(tol).same_space(la.support(b.state, tol))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_basis_mixtures_step_without_an_svd(self, seed, svd_calls):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 4
+        system = self.basis_system(rng, n)
+        for root in self.basis_roots(rng, system.initial, 2 ** n):
+            frontier = [root]
+            for _ in range(5):
+                nxt = []
+                for config in frontier:
+                    got = qts.step(system, config)
+                    assert svd_calls == []
+                    self.assert_matches_dense(system, config, got)
+                    nxt.extend(s for s, _ in got)
+                frontier = nxt
+
+    def test_parallel_basis_images_merge_by_row(self, monkeypatch):
+        # a second bit flip maps |0> and |1> each onto both: four scaled
+        # basis columns, two pairs of them parallel, summed per row
+        system = loop_qts(ch.noise_library("bit_flip", 0.3))
+        config = qts.Configuration.from_factor(
+            "l0", np.eye(2, dtype=complex), np.array([0.7, 0.3]))
+        monkeypatch.setattr(np.linalg, "svd", None)
+        (succ, p), = qts.step(system, config)
+        vecs, vals = succ.spectrum
+        assert np.array_equal(vecs, np.eye(2)[:, ::-1])
+        assert np.allclose(vals, [0.3 * 0.3 + 0.7 * 0.7, 2 * 0.3 * 0.7],
+                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_channels_take_the_svd(self, rng, n, svd_calls):
+        system = loop_qts(random_channel(rng, n, n_kraus=3))
+        for rank in (1, 2):
+            config = qts.Configuration("l0",
+                                       random_density(rng, 2 ** n, rank))
+            svd_calls.clear()
+            got = qts.step(system, config)
+            assert len(svd_calls) == 1
+            self.assert_matches_dense(system, config, got)
 
 
 class TestGateLocal:

@@ -334,6 +334,28 @@ class TestFixpointOracle:
         assert seen[0] == 1 and len(seen) > 2
         assert sum(seen) <= got.dim
 
+    def test_starts_from_a_configuration_factor(self, rng, eigh_calls):
+        # the support of a configuration is read from its factor: no
+        # eigendecomposition, and the space the dense state gives
+        c = chain_of(random_channel(rng, 3, n_kraus=2))
+        vecs = np.linalg.qr(rng.normal(size=(8, 2))
+                            + 1j * rng.normal(size=(8, 2)))[0]
+        config = qts.Configuration.from_factor("l0", vecs,
+                                               np.array([0.6, 0.4]))
+        eigh_calls.clear()
+        got = reach.reachable_fixpoint_oracle(c, config)
+        assert eigh_calls == []
+        want = reach.reachable_fixpoint_oracle(c, config.state)
+        assert got.dim == want.dim
+        assert got.same_space(want)
+        assert np.array_equal(got.basis[:, :2], vecs)
+
+    def test_a_configuration_of_another_dim_is_refused(self):
+        config = qts.Configuration.from_factor(
+            "l0", np.eye(4, 1, dtype=complex), np.ones(1))
+        with pytest.raises(DimensionMismatch):
+            reach.reachable_fixpoint_oracle(X_CHAIN, config)
+
     def test_iterates_monotonically(self, rng):
         e = random_channel(rng, 2, n_kraus=2)
         x = la.support(random_density(rng, 4, rank=1))
